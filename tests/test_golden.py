@@ -1,0 +1,87 @@
+"""Golden digests of everything the canonical order decides.
+
+The canonical simplex order picks the free face a greedy collapse takes
+first, orders each removed interval, and orders the facets of every
+rendered complex.  The sha256 digests below were recorded from the
+original per-comparison ``label_key`` ordering; a change to the order
+or to the rendering changes them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from homcx import (
+    CORE_FIXTURE_NAMES,
+    build_g_kx,
+    certificate_to_dict,
+    complete_graph,
+    core_fixture,
+    enumerate_hom,
+    greedy_collapse,
+    hom_order_complex,
+    run_suite,
+    save_complex,
+    save_graph,
+)
+from homcx.cli import main
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+CLI_OUTPUT = {
+    ("collapse", "delta2"): "23e74d183621113b30f0366ab1572fb46bcd67caeca17d80839467f26f8f3a08",
+    ("collapse", "boundary_delta3"): "1d72fa8ffd45397919269652454cc22fde6d7433d67cefef7f4f050dbfedb5c3",
+    ("nerve", "boundary_delta3"): "d7fc75440b58e4d01866eef9e72bf40e1ba78b9913ffb0c0a54dfdcd69541034",
+    ("klfilt", "boundary_delta3"): "05a3b46c79e998f65ccc66d5567d46caea4d332a0f0d43d4506f927c3574b2c3",
+    ("sd", "boundary_delta2"): "85170499a406e975075365c96a156d8087f5774f1085d4c9a1f2033cf4781d28",
+}
+
+HOM_K2_CIRCLE_POSET = "3d696f6f0bf7e437ba0aed1e111a7ff9e766dd990a156d18dcfa4b2dfb4e7ea0"
+
+HOM_K2_CIRCLE_GREEDY_CERTIFICATE = (
+    "6f33a0cbd5146821fa7357772ffaf916a4130e958b78c2e8f0aa831935b22277"
+)
+
+PROP_COLLAPSE_CERTIFICATES = {
+    "point": None,
+    "delta1": "9d301884476cd898a06c33affd086ab8e634d8de5401be123a0cd385245ec5b6",
+    "path2": "037e461cd417b395c46cd694ed2124414225f0e63f19a3e0a04270ab4b126e6f",
+    "boundary_delta2": "11e367f6d10a8fa2161d1bf3bed10297a523e0f4ecb49d4e2f96650fe7060371",
+    "delta2": "4e03f050fe6698d50fae383d83a2717dff5086b70e3fb92ac2a6cde4570ae99f",
+    "boundary_delta3": "78f3cb6a78f1b427c1308626773e161bcd9b299efabcfec403af6ff35919b090",
+    "wedge_triangles": "c05d75f00dad6aaf865606aa36e05dc76256beb65ccf71c11b0acaf9742b893b",
+    "rp2": "064bec2512a186a3b4b437faf773507be66a9c35519b015ce8c5f9a5cb7b48cc",
+}
+
+
+@pytest.mark.parametrize("command,fixture", sorted(CLI_OUTPUT))
+def test_cli_output_digest(capsys, tmp_path, command, fixture):
+    path = tmp_path / "x.json"
+    save_complex(core_fixture(fixture), str(path))
+    assert main([command, str(path)]) == 0
+    assert sha256(capsys.readouterr().out) == CLI_OUTPUT[command, fixture]
+
+
+def test_hom_poset_output_digest(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    save_graph(build_g_kx(core_fixture("boundary_delta2"), 1), str(path))
+    assert main(["hom", "--g", "K2", str(path)]) == 0
+    assert sha256(capsys.readouterr().out) == HOM_K2_CIRCLE_POSET
+
+
+def test_greedy_certificate_with_multihom_labels():
+    P = enumerate_hom(complete_graph(2), build_g_kx(core_fixture("boundary_delta2"), 1))
+    _, cert = greedy_collapse(hom_order_complex(P))
+    blob = json.dumps(certificate_to_dict(cert), sort_keys=True, separators=(",", ":"))
+    assert sha256(blob) == HOM_K2_CIRCLE_GREEDY_CERTIFICATE
+
+
+def test_prop_collapse_certificate_digests():
+    result = run_suite("prop-collapse", fixtures=CORE_FIXTURE_NAMES)
+    assert result.passed
+    digests = {r.fixture: r.artifacts.get("certificate_sha256") for r in result.reports}
+    assert digests == PROP_COLLAPSE_CERTIFICATES
