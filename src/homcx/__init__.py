@@ -7,7 +7,6 @@ from .canon import label_key, render_label, simplex_key, sorted_labels
 from .simplicial import (
     Poset,
     SimplicialComplex,
-    all_simplices,
     barycentric_subdivision,
     complex_from_dict,
     complex_to_dict,
@@ -43,7 +42,6 @@ from .homology import (
     fraction_free_rank,
     homology,
     profiles_equal,
-    same_homology,
     smith_normal_form,
 )
 from .collapse import (

@@ -144,13 +144,13 @@ def _cmd_hom(args) -> int:
 
 def _cmd_verify(args) -> int:
     fixtures = None
-    if args.fixtures:
+    if args.fixtures is not None:
         fixtures = (
             CORE_FIXTURE_NAMES
             if args.fixtures == "core"
             else tuple(args.fixtures.split(","))
         )
-    if args.fixture:
+    if args.fixture is not None:
         fixtures = (args.fixture,)
     result = run_suite(args.theorem, fixtures=fixtures, n=args.n, cap=args.cap)
     if args.format == "json":

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Iterable
 
-from .canon import label_key, render_label, simplex_key, sorted_labels
+from .canon import render_label, simplex_key
 from .graphs import Graph, build_g_kx
-from .simplicial import SimplicialComplex, maximal_sets
+from .simplicial import SimplicialComplex, complex_to_dict, render_simplex
 
 __all__ = [
     "CollapsiblePair",
@@ -93,13 +93,14 @@ class Filtration:
     graph: Graph
 
 
-def _interval(tau: frozenset, sigma: frozenset) -> tuple:
-    ext = sorted_labels(sigma - tau)
+def _interval(tau: frozenset, sigma: frozenset, key) -> tuple:
+    """The faces between tau and sigma, sorted by the simplex key ``key``."""
+    ext = sigma - tau
     faces = []
     for r in range(len(ext) + 1):
         for extra in combinations(ext, r):
             faces.append(tau | frozenset(extra))
-    return tuple(sorted(faces, key=simplex_key))
+    return tuple(sorted(faces, key=key))
 
 
 def _free_facet(S: set | frozenset, tau: frozenset, vertices: Iterable[Any]):
@@ -125,7 +126,8 @@ def free_face_pairs(X: SimplicialComplex) -> list[CollapsiblePair]:
         sigma = _free_facet(S, tau, V)
         if sigma is not None:
             pairs.append(CollapsiblePair(sigma=sigma, tau=tau))
-    return sorted(pairs, key=lambda p: (simplex_key(p.sigma), simplex_key(p.tau)))
+    key = simplex_key(X.rank)
+    return sorted(pairs, key=lambda p: (key(p.sigma), key(p.tau)))
 
 
 def perform_collapse(X: SimplicialComplex, pair: CollapsiblePair) -> SimplicialComplex:
@@ -137,14 +139,14 @@ def perform_collapse(X: SimplicialComplex, pair: CollapsiblePair) -> SimplicialC
             f"({render_label(pair.sigma)}, {render_label(pair.tau)}) "
             "is not a collapsible pair here"
         )
-    removed = set(_interval(pair.tau, pair.sigma))
+    removed = set(_interval(pair.tau, pair.sigma, simplex_key(X.rank)))
     return SimplicialComplex.from_simplices(S - removed)
 
 
 def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCertificate]:
     """Collapse free faces until none remain.
 
-    Vertices are relabelled to integers and each simplex carries a live
+    Vertices are relabelled to their ranks and each simplex carries a live
     cofacet count plus the vertex sum of its cofacets, so the unique
     cofacet of a count-one face is recovered in constant time.  A heap
     pops the canonically first face whose lone cofacet is maximal; stale
@@ -153,8 +155,11 @@ def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCe
     a codimension-one free pair against that facet, so no free face of
     any kind survives.
     """
-    fwd = {lab: i for i, lab in enumerate(X.vertices)}
+    fwd = X.rank
     back = X.vertices
+    key = simplex_key(fwd)
+    # an integer vertex is its own rank
+    hkey = simplex_key(range(len(back)))
     S = {frozenset(fwd[v] for v in s) for s in X.simplex_set()}
     cof_count = {s: 0 for s in S}
     cof_vsum = {s: 0 for s in S}
@@ -164,9 +169,6 @@ def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCe
             if f:
                 cof_count[f] += 1
                 cof_vsum[f] += v
-
-    def hkey(f: frozenset) -> tuple:
-        return (len(f), tuple(sorted(f)))
 
     heap = [(hkey(f), f) for f in S if cof_count[f] == 1]
     heapq.heapify(heap)
@@ -203,7 +205,7 @@ def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCe
         steps.append(
             CollapseStep(
                 pair=CollapsiblePair(sigma=sigma_lab, tau=tau_lab),
-                removed=_interval(tau_lab, sigma_lab),
+                removed=_interval(tau_lab, sigma_lab, key),
             )
         )
     remaining = frozenset(frozenset(back[v] for v in s) for s in S)
@@ -216,12 +218,9 @@ def kl_filtration(X: SimplicialComplex) -> Filtration:
     """The nested neighborhood-generated complexes of the containment
     graph of X, indexed from all simplices down to the vertex stars."""
     G = build_g_kx(X, 1)
-    order = tuple(
-        sorted(
-            G.vertices,
-            key=lambda s: (-len(s), tuple(sorted(label_key(v) for v in s))),
-        )
-    )
+    # G.vertices is in label_key order, which among equal sizes is the
+    # canonical simplex order of X
+    order = tuple(sorted(G.vertices, key=lambda s: -len(s)))
     p = len(order)
     q = sum(1 for s in order if len(s) == 1)
     if p == q:
@@ -231,7 +230,7 @@ def kl_filtration(X: SimplicialComplex) -> Filtration:
     complexes = []
     for l in range(1, p - q + 2):
         gens = [G.neighbors(order[i]) for i in range(l - 1, p)]
-        complexes.append(SimplicialComplex(maximal_sets(gens)))
+        complexes.append(SimplicialComplex(gens))
     return Filtration(order=order, p=p, q=q, complexes=tuple(complexes), graph=G)
 
 
@@ -248,6 +247,7 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
     stuck complex, if a stage cannot reach its target.
     """
     V = F.graph.vertices
+    key = simplex_key(F.graph.rank)
     stages: list[tuple] = []
     for l in range(1, F.p - F.q + 1):
         sig = F.order[l - 1]
@@ -256,7 +256,7 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
         steps: list[CollapseStep] = []
 
         def apply(sigma: frozenset, tau: frozenset):
-            removed = _interval(tau, sigma)
+            removed = _interval(tau, sigma, key)
             if not target.isdisjoint(removed):
                 raise StalledCollapse(
                     f"stage {l}: a collapse would remove part of the next complex",
@@ -278,7 +278,7 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
                 stuck=SimplicialComplex.from_simplices(frozenset(S)),
             )
         apply(first_sigma, first_tau)
-        candidates = sorted((s for s in S if sig in s and s not in target), key=simplex_key)
+        candidates = sorted((s for s in S if sig in s and s not in target), key=key)
         progressed = True
         while progressed:
             progressed = False
@@ -309,11 +309,12 @@ def replay_certificate(cert: CollapseCertificate) -> bool:
     revalidating every pair.  Returns True or raises ValueError."""
     S = set(cert.start.simplex_set())
     V = cert.start.vertices
+    key = simplex_key(cert.start.rank)
     for n, step in enumerate(cert.steps):
         sigma = _free_facet(S, step.pair.tau, V)
         if sigma is None or sigma != step.pair.sigma:
             raise ValueError(f"step {n}: pair is not collapsible at replay time")
-        removed = _interval(step.pair.tau, step.pair.sigma)
+        removed = _interval(step.pair.tau, step.pair.sigma, key)
         if removed != step.removed:
             raise ValueError(f"step {n}: removed interval does not match")
         S.difference_update(removed)
@@ -323,18 +324,16 @@ def replay_certificate(cert: CollapseCertificate) -> bool:
 
 
 def certificate_to_dict(cert: CollapseCertificate) -> dict:
-    def render_simplex(s: frozenset) -> list[str]:
-        return [render_label(v) for v in sorted_labels(s)]
-
+    X = cert.start
     return {
-        "start": {"facets": [render_simplex(f) for f in sorted(cert.start.facets, key=simplex_key)]},
-        "end": {"facets": [render_simplex(f) for f in sorted(cert.end.facets, key=simplex_key)]},
+        "start": complex_to_dict(cert.start),
+        "end": complex_to_dict(cert.end),
         "stages": [
             [
                 {
-                    "facet": render_simplex(step.pair.sigma),
-                    "free_face": render_simplex(step.pair.tau),
-                    "removed": [render_simplex(r) for r in step.removed],
+                    "facet": render_simplex(X, step.pair.sigma),
+                    "free_face": render_simplex(X, step.pair.tau),
+                    "removed": [render_simplex(X, r) for r in step.removed],
                 }
                 for step in stage
             ]

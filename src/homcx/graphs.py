@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .canon import label_key, render_label, sorted_labels
-from .simplicial import SimplicialComplex, barycentric_subdivision, maximal_sets
+from .canon import canonical_order, render_label
+from .simplicial import SimplicialComplex, barycentric_subdivision
 
 __all__ = [
     "Graph",
@@ -34,11 +34,11 @@ __all__ = [
 
 
 class Graph:
-    """Undirected graph; loops allowed, multi-edges not."""
+    """Undirected graph; loops allowed, multi-edges not.  ``vertices`` is
+    in canonical order and ``rank`` maps each vertex to its position there."""
 
     def __init__(self, vertices: Iterable[Any], edges: Iterable[Iterable[Any]]):
-        self.vertices = tuple(sorted_labels(set(vertices)))
-        vertex_set = set(self.vertices)
+        self.vertices, self.rank = canonical_order(set(vertices))
         adj: dict[Any, set] = {v: set() for v in self.vertices}
         edge_set = set()
         for e in edges:
@@ -46,9 +46,9 @@ class Graph:
             if len(pair) != 2:
                 raise ValueError(f"edge {pair!r} does not have two endpoints")
             a, b = pair
-            if a not in vertex_set or b not in vertex_set:
+            if a not in self.rank or b not in self.rank:
                 raise ValueError(f"edge {pair!r} mentions an unknown vertex")
-            if label_key(b) < label_key(a):
+            if self.rank[b] < self.rank[a]:
                 a, b = b, a
             edge_set.add((a, b))
             adj[a].add(b)
@@ -144,8 +144,7 @@ def neighborhood_complex(G: Graph) -> SimplicialComplex:
     Isolated vertices do not appear.  A graph with no edges yields the
     empty complex.
     """
-    generators = [G.neighbors(v) for v in G.vertices if G.neighbors(v)]
-    return SimplicialComplex(maximal_sets(generators)) if generators else SimplicialComplex([])
+    return SimplicialComplex(G.neighbors(v) for v in G.vertices if G.neighbors(v))
 
 
 def clique_complex(G: Graph) -> SimplicialComplex:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Iterable, Mapping
 
-from .canon import label_key, render_label, sorted_labels
+from .canon import canonical_order, label_key, render_label, sorted_labels
 from .graphs import Graph, common_neighborhood, complete_graph
 from .simplicial import Poset, SimplicialComplex, order_complex
 
@@ -57,15 +57,20 @@ class CapExceeded(Exception):
 
 
 def resolve_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return int(cap)
-    env = os.environ.get("HOMCX_CAP")
-    if env is not None:
+    """The element cap: ``cap`` if given, else HOMCX_CAP, else the default.
+    A negative cap is bad input."""
+    if cap is None:
+        env = os.environ.get("HOMCX_CAP")
+        if env is None:
+            return DEFAULT_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise ValueError(f"HOMCX_CAP must be an integer, got {env!r}") from exc
-    return DEFAULT_CAP
+    cap = int(cap)
+    if cap < 0:
+        raise ValueError(f"the enumeration cap must be non-negative, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -90,10 +95,7 @@ class Multihom:
         return sum(len(img) for img in self.images)
 
     def __str__(self) -> str:
-        parts = []
-        for img in self.images:
-            parts.append("{" + ",".join(render_label(v) for v in sorted_labels(img)) + "}")
-        return "(" + "|".join(parts) + ")"
+        return "(" + "|".join(render_label(img) for img in self.images) + ")"
 
 
 class HomPoset:
@@ -101,10 +103,7 @@ class HomPoset:
 
     def __init__(self, domain: tuple, elements: Iterable[Multihom]):
         self.domain = tuple(domain)
-        self.elements = tuple(
-            sorted(elements, key=lambda m: m.canonical_key())
-        )
-        self._index = {m: i for i, m in enumerate(self.elements)}
+        self.elements, self._index = canonical_order(elements)
         self._poset: Poset | None = None
 
     def __len__(self) -> int:
@@ -130,7 +129,7 @@ class HomPoset:
             for i, img in enumerate(m.images):
                 if len(img) < 2:
                     continue
-                for v in sorted_labels(img):
+                for v in img:
                     smaller = Multihom(
                         domain=m.domain,
                         images=m.images[:i] + (img - {v},) + m.images[i + 1 :],
@@ -142,7 +141,7 @@ class HomPoset:
                         )
                     upper[smaller].append(m)
         covers = {
-            m: tuple(sorted(set(ups), key=lambda x: x.canonical_key()))
+            m: tuple(sorted(set(ups), key=self._index.__getitem__))
             for m, ups in upper.items()
         }
         self._poset = Poset(self.elements, covers)
@@ -241,9 +240,7 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
             if G.has_edge(u, gverts[j]):
                 cn = common_neighborhood(H, images[j])
                 pool = cn if pool is None else pool & cn
-        if pool is None:
-            pool = frozenset(H.vertices)
-        members = sorted_labels(pool)
+        members = H.vertices if pool is None else [v for v in H.vertices if v in pool]
         looped = G.has_loop(u)
         for r in range(1, len(members) + 1):
             for chosen in combinations(members, r):
@@ -299,10 +296,9 @@ def common_neighbor_witness(eta: Multihom, H: Graph) -> WitnessTrace:
         raise ValueError("witness construction needs simplex-valued target vertices")
     mins = [min(len(v) for v in img) for img in eta.images]
     k = mins.index(min(mins)) + 1
-    members = sorted(
-        eta.images[k - 1],
-        key=lambda s: (len(s), tuple(sorted(label_key(v) for v in s))),
-    )
+    # H.vertices is in label_key order, which among equal sizes is the
+    # canonical simplex order
+    members = sorted(sorted(eta.images[k - 1], key=H.rank.__getitem__), key=len)
     low = min(mins)
     i1 = sum(1 for s in members if len(s) == low)
     tau = frozenset().union(*members[:i1])

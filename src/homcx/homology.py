@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .canon import label_key
 from .simplicial import SimplicialComplex
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "fraction_free_rank",
     "homology",
     "profiles_equal",
-    "same_homology",
 ]
 
 
@@ -64,13 +62,6 @@ class HomologyProfile:
             "reduced": self.reduced,
         }
 
-    def same_as(self, other: "HomologyProfile") -> bool:
-        return profiles_equal(self, other)
-
-
-def _sorted_vertices(simplex: frozenset) -> tuple:
-    return tuple(sorted(simplex, key=label_key))
-
 
 def _boundary_terms(vertices: tuple):
     for i in range(len(vertices)):
@@ -84,6 +75,7 @@ def boundary_matrices(X: SimplicialComplex) -> list[BoundaryMatrix]:
     The composite of consecutive boundaries is verified to vanish on
     every generator before the matrices are returned.
     """
+    position = X.rank.__getitem__
     by_dim: dict[int, list[frozenset]] = {}
     for s in X.simplices():
         by_dim.setdefault(len(s) - 1, []).append(s)
@@ -94,7 +86,7 @@ def boundary_matrices(X: SimplicialComplex) -> list[BoundaryMatrix]:
         row_index = {s: i for i, s in enumerate(rows)}
         entries = [[0] * len(cols) for _ in rows]
         for j, s in enumerate(cols):
-            for sign, face in _boundary_terms(_sorted_vertices(s)):
+            for sign, face in _boundary_terms(tuple(sorted(s, key=position))):
                 entries[row_index[frozenset(face)]][j] = sign
         matrices.append(
             BoundaryMatrix(
@@ -107,7 +99,7 @@ def boundary_matrices(X: SimplicialComplex) -> list[BoundaryMatrix]:
     for k in range(2, X.dim + 1):
         for s in by_dim.get(k, ()):
             acc: dict[tuple, int] = {}
-            for sign, face in _boundary_terms(_sorted_vertices(s)):
+            for sign, face in _boundary_terms(tuple(sorted(s, key=position))):
                 for sign2, sub in _boundary_terms(face):
                     acc[sub] = acc.get(sub, 0) + sign * sign2
             if any(acc.values()):
@@ -261,7 +253,3 @@ def profiles_equal(a: HomologyProfile, b: HomologyProfile) -> bool:
         return False
     padt = lambda t: tuple(t) + ((),) * (depth - len(t))
     return padt(a.torsion) == padt(b.torsion)
-
-
-def same_homology(X: SimplicialComplex, Y: SimplicialComplex) -> bool:
-    return profiles_equal(homology(X), homology(Y))

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .canon import label_key, render_label, simplex_key, sorted_labels
+from .canon import label_key, render_label
 from .graphs import build_g_kx
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, complex_to_dict
 
 __all__ = [
     "Cover",
@@ -125,12 +125,4 @@ def verify_nerve_theorem_hypotheses(cover: Cover) -> NerveHypothesesReport:
 
 
 def cover_to_dict(cover: Cover) -> dict:
-    return {
-        render_label(i): {
-            "facets": [
-                [render_label(v) for v in sorted_labels(f)]
-                for f in sorted(cover.pieces[i].facets, key=simplex_key)
-            ]
-        }
-        for i in cover.index
-    }
+    return {render_label(i): complex_to_dict(cover.pieces[i]) for i in cover.index}

@@ -3,21 +3,22 @@
 A complex is stored by its facets (inclusion-maximal simplices); the
 downward closure is implicit and materialized on demand.  Simplices are
 frozensets of vertex labels.  The canonical simplex order used everywhere
-is dimension ascending, then lexicographic on the sorted vertex keys.
+is dimension ascending, then lexicographic on the sorted vertex ranks
+(see :mod:`homcx.canon`).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from typing import Any, Iterable, Iterator
 
-from .canon import render_label, simplex_key, sorted_labels
+from .canon import canonical_order, render_label, simplex_key
 
 __all__ = [
     "SimplicialComplex",
     "Poset",
     "from_facets",
-    "all_simplices",
     "skeleton",
     "face_poset",
     "order_complex",
@@ -25,6 +26,7 @@ __all__ = [
     "euler_characteristic",
     "maximal_sets",
     "complex_to_dict",
+    "render_simplex",
     "complex_from_dict",
     "load_complex",
     "save_complex",
@@ -32,12 +34,21 @@ __all__ = [
 
 
 def maximal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
-    """Inclusion-maximal members of a family of frozensets."""
-    pool = sorted(set(sets), key=len, reverse=True)
+    """Inclusion-maximal members of a family of frozensets.
+
+    Sets are taken largest first.  A kept set containing s contains each
+    vertex of s, so s is tested only against the kept sets through its
+    least-shared vertex.
+    """
     kept: list[frozenset] = []
-    for s in pool:
-        if not any(s < t for t in kept):
-            kept.append(s)
+    through: dict[Any, list[frozenset]] = {}
+    for s in sorted(set(sets), key=len, reverse=True):
+        rivals = min((through.get(v, ()) for v in s), key=len, default=kept)
+        if any(s < t for t in rivals):
+            continue
+        kept.append(s)
+        for v in s:
+            through.setdefault(v, []).append(s)
     return kept
 
 
@@ -52,7 +63,6 @@ class SimplicialComplex:
                 raise ValueError("empty simplex")
             normalized.append(fs)
         self._facets = frozenset(maximal_sets(normalized))
-        self._vertices: tuple | None = None
         self._simplices: tuple[frozenset, ...] | None = None
         self._simplex_set: frozenset | None = None
 
@@ -76,7 +86,7 @@ class SimplicialComplex:
         memoized simplex cache.
         """
         simplex_set = frozenset(simplices)
-        X = cls(maximal_sets(simplex_set))
+        X = cls(simplex_set)
         X._simplex_set = simplex_set
         return X
 
@@ -84,14 +94,18 @@ class SimplicialComplex:
     def facets(self) -> frozenset:
         return self._facets
 
+    @cached_property
+    def _order(self) -> tuple[tuple, dict]:
+        return canonical_order(frozenset().union(*self._facets))
+
     @property
     def vertices(self) -> tuple:
-        if self._vertices is None:
-            seen = set()
-            for f in self._facets:
-                seen.update(f)
-            self._vertices = tuple(sorted_labels(seen))
-        return self._vertices
+        return self._order[0]
+
+    @property
+    def rank(self) -> dict:
+        """Position of each vertex in ``vertices``."""
+        return self._order[1]
 
     @property
     def dim(self) -> int:
@@ -103,20 +117,16 @@ class SimplicialComplex:
         if self._simplex_set is None:
             closure = set()
             for f in self._facets:
-                members = sorted_labels(f)
-                for r in range(1, len(members) + 1):
-                    closure.update(map(frozenset, combinations(members, r)))
+                for r in range(1, len(f) + 1):
+                    closure.update(map(frozenset, combinations(f, r)))
             self._simplex_set = frozenset(closure)
         return self._simplex_set
 
     def simplices(self) -> tuple[frozenset, ...]:
         """All simplices in canonical order."""
         if self._simplices is None:
-            self._simplices = tuple(sorted(self.simplex_set(), key=simplex_key))
+            self._simplices = tuple(sorted(self.simplex_set(), key=simplex_key(self.rank)))
         return self._simplices
-
-    def simplices_of_dim(self, k: int) -> list[frozenset]:
-        return [s for s in self.simplices() if len(s) == k + 1]
 
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * (self.dim + 1)
@@ -208,10 +218,6 @@ def from_facets(facets: Iterable[Iterable[Any]]) -> SimplicialComplex:
     return SimplicialComplex.from_facets(facets)
 
 
-def all_simplices(X: SimplicialComplex) -> tuple[frozenset, ...]:
-    return X.simplices()
-
-
 def skeleton(X: SimplicialComplex, k: int) -> SimplicialComplex:
     if k < 0:
         raise ValueError("skeleton dimension must be non-negative")
@@ -230,6 +236,7 @@ def face_poset(X: SimplicialComplex) -> Poset:
     """
     simplex_set = X.simplex_set()
     vertices = X.vertices
+    key = simplex_key(X.rank)
     covers: dict[frozenset, tuple] = {}
     for s in X.simplices():
         ups = [
@@ -237,7 +244,7 @@ def face_poset(X: SimplicialComplex) -> Poset:
             for v in vertices
             if v not in s and (s | {v}) in simplex_set
         ]
-        covers[s] = tuple(sorted(ups, key=simplex_key))
+        covers[s] = tuple(sorted(ups, key=key))
     return Poset(X.simplices(), covers)
 
 
@@ -269,12 +276,13 @@ def euler_characteristic(X: SimplicialComplex) -> int:
 # JSON form: {"facets": [["1", "2"], ["2", "3"]]}, labels rendered to strings.
 
 def complex_to_dict(X: SimplicialComplex) -> dict:
-    facets = sorted(X.facets, key=simplex_key)
-    return {
-        "facets": [
-            [render_label(v) for v in sorted_labels(f)] for f in facets
-        ]
-    }
+    facets = sorted(X.facets, key=simplex_key(X.rank))
+    return {"facets": [render_simplex(X, f) for f in facets]}
+
+
+def render_simplex(X: SimplicialComplex, simplex: frozenset) -> list[str]:
+    """Vertex labels of a simplex of X, rendered in canonical order."""
+    return [render_label(v) for v in sorted(simplex, key=X.rank.__getitem__)]
 
 
 def complex_from_dict(data: dict) -> SimplicialComplex:

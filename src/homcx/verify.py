@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .canon import label_key, render_label, simplex_key
+from .canon import render_label
 from .collapse import (
     StalledCollapse,
     certificate_to_dict,
@@ -41,7 +41,7 @@ from .hom import (
 from .homology import HomologyProfile, homology, profiles_equal
 from .collapse import greedy_collapse
 from .nerve import nerve_of_cover, star_cover, verify_nerve_theorem_hypotheses
-from .simplicial import SimplicialComplex, barycentric_subdivision
+from .simplicial import SimplicialComplex, barycentric_subdivision, complex_to_dict
 
 __all__ = [
     "VerificationReport",
@@ -127,7 +127,7 @@ def _suite_thm_1_2(fixtures, n, cap):
 
 
 def _suite_thm_1_3(fixtures, n, cap):
-    n = n or 3
+    n = 3 if n is None else n
     for name in fixtures:
         X = core_fixture(name)
         G = build_g_kx(X, 1)
@@ -198,12 +198,7 @@ def _suite_prop_collapse(fixtures, n, cap):
             stuck = exc.stuck
             yield name, False, {
                 "stalled_stage": exc.stage,
-                "stuck_facets": None
-                if stuck is None
-                else [
-                    [render_label(v) for v in sorted(f, key=label_key)]
-                    for f in sorted(stuck.facets, key=simplex_key)
-                ],
+                "stuck_facets": None if stuck is None else complex_to_dict(stuck)["facets"],
             }
             continue
         yield name, True, {
@@ -232,7 +227,7 @@ def _suite_prop_3_1(fixtures, n, cap):
 
 
 def _suite_prop_4_1(fixtures, n, cap):
-    ns = (n,) if n else (2, 3)
+    ns = (2, 3) if n is None else (n,)
     for name in fixtures:
         X = core_fixture(name)
         H = build_g_kx(X, 1)
@@ -254,7 +249,7 @@ def _suite_prop_4_1(fixtures, n, cap):
 
 
 def _suite_quillen(fixtures, n, cap):
-    n = n or 3
+    n = 3 if n is None else n
     for name in fixtures:
         X = core_fixture(name)
         H = build_g_kx(X, 1)
@@ -331,7 +326,9 @@ def run_suite(
             f"unknown suite {theorem!r}; choose from {', '.join(SUITE_NAMES)}"
         )
     fn, surrogate, defaults = _SUITES[theorem]
-    fixtures = tuple(fixtures) if fixtures else defaults
+    fixtures = defaults if fixtures is None else tuple(fixtures)
+    if not fixtures:
+        raise ValueError("no fixtures to verify")
     start = time.perf_counter()
     prev = start
     reports = []

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from homcx import core_fixture, save_complex
+from homcx import core_fixture, run_suite, save_complex
 from homcx.cli import main
 
 
@@ -82,6 +82,17 @@ def test_hom_command_cap_exit_code(capsys, tmp_path, circle_file):
     assert code == 3
 
 
+def test_hom_command_negative_cap_is_bad_input(capsys, tmp_path, circle_file, monkeypatch):
+    run(capsys, ["g1x", circle_file, "-o", str(tmp_path / "g.json")])
+    code, _, err = run(capsys, ["hom", "--g", "K2", "--cap", "-1", str(tmp_path / "g.json")])
+    assert code == 2
+    assert "non-negative" in err
+    monkeypatch.setenv("HOMCX_CAP", "-1")
+    code, _, err = run(capsys, ["hom", "--g", "K2", str(tmp_path / "g.json")])
+    assert code == 2
+    assert "non-negative" in err
+
+
 def test_collapse_command(capsys, tmp_path):
     p = tmp_path / "d2.json"
     save_complex(core_fixture("delta2"), str(p))
@@ -146,6 +157,26 @@ def test_missing_file_exit_code(capsys):
 def test_bad_fixture_name_exit_code(capsys):
     code, _, err = run(capsys, ["verify", "thm-1.2", "--fixture", "moebius"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm-1.3", "--fixture", "point", "--n", "0"],
+        ["verify", "quillen", "--fixture", "point", "--n", "0"],
+        ["verify", "prop-4.1", "--fixture", "point", "--n", "0"],
+        ["verify", "prop-3.1", "--fixtures", ""],
+    ],
+)
+def test_zero_and_empty_arguments_are_not_defaults(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err and not out
+
+
+def test_empty_fixture_tuple_is_not_a_pass():
+    with pytest.raises(ValueError):
+        run_suite("prop-3.1", fixtures=())
 
 
 def test_console_script_entry_point(tmp_path):

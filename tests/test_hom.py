@@ -195,6 +195,15 @@ def test_enumeration_cap(monkeypatch):
         enumerate_hom(complete_graph(2), G)
 
 
+def test_negative_cap_is_rejected(monkeypatch):
+    G = build_g_kx(core_fixture("delta1"), 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_hom(complete_graph(2), G, cap=-1)
+    monkeypatch.setenv("HOMCX_CAP", "-1")
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_hom(complete_graph(2), G)
+
+
 def test_restriction_map_drops_last_vertex():
     G = build_g_kx(core_fixture("delta1"), 1)
     P = enumerate_hom(complete_graph(3), G)
