@@ -3,8 +3,9 @@
 The canonical simplex order picks the free face a greedy collapse takes
 first, orders each removed interval, and orders the facets of every
 rendered complex.  The sha256 digests below were recorded from the
-original per-comparison ``label_key`` ordering; a change to the order
-or to the rendering changes them.
+original per-comparison ``label_key`` ordering (the neighborhood-complex
+greedy certificates from the rank-relabelling greedy collapse); a change
+to the order, to the collapse or to the rendering changes them.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from homcx import (
     enumerate_hom,
     greedy_collapse,
     hom_order_complex,
+    neighborhood_complex,
     run_suite,
     save_complex,
     save_graph,
@@ -45,6 +47,18 @@ HOM_K2_CIRCLE_POSET = "3d696f6f0bf7e437ba0aed1e111a7ff9e766dd990a156d18dcfa4b2df
 HOM_K2_CIRCLE_GREEDY_CERTIFICATE = (
     "6f33a0cbd5146821fa7357772ffaf916a4130e958b78c2e8f0aa831935b22277"
 )
+
+# greedy certificates of the neighborhood complexes N(G(X)), frozenset labels
+NBHD_GREEDY_CERTIFICATES = {
+    "point": "12a38459c58325cf623fe508bcdc10cea4746427c2fa107725e66505d93b1801",
+    "delta1": "da3c79ddf4bbe014e25e4cf67536d6191d23eec3b630d1a9d6917bc893dbccc2",
+    "path2": "28dc701f2612b6c0c831a196b0a792905c6725fd8b1794af5b93437f04a62539",
+    "boundary_delta2": "cb35ce9aa7799979002df8ae7c03ba1ed4693fee61cd0314a99381b42fb45f06",
+    "delta2": "94f2108f131ba36f623e0e854a82cfc5afb58c8045c4b992d9d8494d49326778",
+    "boundary_delta3": "e1bfa331a5b8eb26e9367f4d461753b735feee9106e67f09b2edf08367898980",
+    "wedge_triangles": "cfd2cf54e05180270508f53d6e937c074dd9ef990f0edc5e808a9a8fdc12d042",
+    "rp2": "38818c9ced80d58089179304266f2cf3b30b41c58105d78efaa7c2a70ce28d42",
+}
 
 PROP_COLLAPSE_CERTIFICATES = {
     "point": None,
@@ -78,6 +92,15 @@ def test_greedy_certificate_with_multihom_labels():
     _, cert = greedy_collapse(hom_order_complex(P))
     blob = json.dumps(certificate_to_dict(cert), sort_keys=True, separators=(",", ":"))
     assert sha256(blob) == HOM_K2_CIRCLE_GREEDY_CERTIFICATE
+
+
+def test_greedy_certificates_of_neighborhood_complexes():
+    digests = {}
+    for name in CORE_FIXTURE_NAMES:
+        _, cert = greedy_collapse(neighborhood_complex(build_g_kx(core_fixture(name), 1)))
+        blob = json.dumps(certificate_to_dict(cert), sort_keys=True, separators=(",", ":"))
+        digests[name] = sha256(blob)
+    assert digests == NBHD_GREEDY_CERTIFICATES
 
 
 def test_prop_collapse_certificate_digests():
