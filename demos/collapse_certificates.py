@@ -10,8 +10,8 @@ scratch by plain set arithmetic.
 """
 
 from homcx import (
+    SimplicialComplex,
     core_fixture,
-    from_facets,
     greedy_collapse,
     kl_filtration,
     render_label,
@@ -25,7 +25,7 @@ def show(simplex):
 
 
 # --- greedy: a solid tetrahedron goes all the way down to a vertex
-X = from_facets([[1, 2, 3, 4]])
+X = SimplicialComplex.from_facets([[1, 2, 3, 4]])
 core, cert = greedy_collapse(X)
 print("solid tetrahedron:", len(X), "simplices ->", len(core))
 print("steps taken:", len(cert.steps), "| replays cleanly:", replay_certificate(cert))

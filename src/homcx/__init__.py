@@ -12,7 +12,6 @@ from .simplicial import (
     complex_to_dict,
     euler_characteristic,
     face_poset,
-    from_facets,
     load_complex,
     order_complex,
     save_complex,

@@ -146,21 +146,19 @@ def perform_collapse(X: SimplicialComplex, pair: CollapsiblePair) -> SimplicialC
 def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCertificate]:
     """Collapse free faces until none remain.
 
-    Vertices are relabelled to their ranks and each simplex carries a live
-    cofacet count plus the vertex sum of its cofacets, so the unique
-    cofacet of a count-one face is recovered in constant time.  A heap
+    Each simplex carries a live cofacet count plus the sum of the vertex
+    ranks its cofacets add, so the unique cofacet of a count-one face is
+    recovered in constant time, without relabelling the complex.  A heap
     pops the canonically first face whose lone cofacet is maximal; stale
-    entries are revalidated on pop.  Running dry is conclusive: a face
-    whose only containing facet sits several dimensions up always yields
-    a codimension-one free pair against that facet, so no free face of
-    any kind survives.
+    entries are revalidated on pop.  Each step removes a codimension-one
+    pair, whose interval is just (tau, sigma).  Running dry is
+    conclusive: a face whose only containing facet sits several
+    dimensions up always yields a codimension-one free pair against that
+    facet, so no free face of any kind survives.
     """
-    fwd = X.rank
-    back = X.vertices
-    key = simplex_key(fwd)
-    # an integer vertex is its own rank
-    hkey = simplex_key(range(len(back)))
-    S = {frozenset(fwd[v] for v in s) for s in X.simplex_set()}
+    vertices, rank = X.vertices, X.rank
+    key = simplex_key(rank)
+    S = set(X.simplex_set())
     cof_count = {s: 0 for s in S}
     cof_vsum = {s: 0 for s in S}
     for s in S:
@@ -168,9 +166,9 @@ def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCe
             f = s - {v}
             if f:
                 cof_count[f] += 1
-                cof_vsum[f] += v
+                cof_vsum[f] += rank[v]
 
-    heap = [(hkey(f), f) for f in S if cof_count[f] == 1]
+    heap = [(key(f), f) for f in S if cof_count[f] == 1]
     heapq.heapify(heap)
     steps: list[CollapseStep] = []
 
@@ -181,35 +179,29 @@ def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCe
             if not f or f not in S:
                 continue
             cof_count[f] -= 1
-            cof_vsum[f] -= v
+            cof_vsum[f] -= rank[v]
             if cof_count[f] == 1:
-                heapq.heappush(heap, (hkey(f), f))
+                heapq.heappush(heap, (key(f), f))
             elif cof_count[f] == 0:
                 # f just became maximal; its count-one faces may be free now
                 for w in f:
                     g = f - {w}
                     if g and g in S and cof_count[g] == 1:
-                        heapq.heappush(heap, (hkey(g), g))
+                        heapq.heappush(heap, (key(g), g))
 
     while heap:
         _, tau = heapq.heappop(heap)
         if tau not in S or cof_count[tau] != 1:
             continue
-        sigma = tau | {cof_vsum[tau]}
+        sigma = tau | {vertices[cof_vsum[tau]]}
         if cof_count.get(sigma) != 0 or sigma not in S:
             continue
         drop(sigma)
         drop(tau)
-        sigma_lab = frozenset(back[v] for v in sigma)
-        tau_lab = frozenset(back[v] for v in tau)
         steps.append(
-            CollapseStep(
-                pair=CollapsiblePair(sigma=sigma_lab, tau=tau_lab),
-                removed=_interval(tau_lab, sigma_lab, key),
-            )
+            CollapseStep(pair=CollapsiblePair(sigma=sigma, tau=tau), removed=(tau, sigma))
         )
-    remaining = frozenset(frozenset(back[v] for v in s) for s in S)
-    result = SimplicialComplex.from_simplices(remaining) if S else SimplicialComplex([])
+    result = SimplicialComplex.from_simplices(S)
     cert = CollapseCertificate(start=X, end=result, stages=(tuple(steps),))
     return result, cert
 

@@ -243,9 +243,10 @@ def graph_from_dict(data: dict) -> Graph:
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ValueError('"vertices" must be a list of string labels')
     if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 for e in edges
+        isinstance(e, list) and len(e) == 2 and all(isinstance(v, str) for v in e)
+        for e in edges
     ):
-        raise ValueError('"edges" must be a list of two-element lists')
+        raise ValueError('"edges" must be a list of pairs of string labels')
     return Graph(vertices, edges)
 
 

@@ -10,7 +10,7 @@ full simplex, which is exactly the hypothesis a nerve argument needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from .canon import label_key, render_label
 from .graphs import build_g_kx
@@ -58,30 +58,28 @@ def star_cover(X: SimplicialComplex) -> Cover:
     return Cover(index=tuple(X.vertices), pieces=pieces)
 
 
-def _piece_sets(cover: Cover) -> dict:
-    return {i: set(cover.pieces[i].simplex_set()) for i in cover.index}
+def _intersections(cover: Cover) -> Iterator[tuple[tuple, set]]:
+    """Every tuple of indices, increasing in label order, whose pieces
+    share a simplex, together with the simplices they share."""
+    sets = {i: set(cover.pieces[i].simplex_set()) for i in cover.index}
+    order = sorted(cover.index, key=label_key)
+    stack = [((i,), sets[i]) for i in reversed(order) if sets[i]]
+    while stack:
+        chosen, common = stack.pop()
+        yield chosen, common
+        start = order.index(chosen[-1]) + 1
+        for i in order[start:]:
+            meet = common & sets[i]
+            if meet:
+                stack.append((chosen + (i,), meet))
 
 
 def nerve_of_cover(cover: Cover) -> SimplicialComplex:
     """Nerve: a finite set of indices spans a simplex exactly when the
     corresponding pieces share at least one simplex."""
-    sets = _piece_sets(cover)
-    order = sorted(cover.index, key=label_key)
-    simplices: list[frozenset] = []
-
-    def grow(chosen: list, common: set, rest: list):
-        simplices.append(frozenset(chosen))
-        for n, i in enumerate(rest):
-            meet = common & sets[i] if chosen else sets[i]
-            if meet:
-                grow(chosen + [i], meet, rest[n + 1 :])
-
-    for n, i in enumerate(order):
-        if sets[i]:
-            grow([i], sets[i], order[n + 1 :])
-    if not simplices:
-        return SimplicialComplex([])
-    return SimplicialComplex.from_simplices(simplices)
+    return SimplicialComplex.from_simplices(
+        frozenset(chosen) for chosen, _ in _intersections(cover)
+    )
 
 
 def cover_union(cover: Cover) -> SimplicialComplex:
@@ -102,21 +100,12 @@ def verify_nerve_theorem_hypotheses(cover: Cover) -> NerveHypothesesReport:
     """Check that every nonempty intersection of pieces is a full simplex
     (in particular nonempty intersections are contractible, so the nerve
     has the same homotopy type as the union)."""
-    sets = _piece_sets(cover)
-    order = sorted(cover.index, key=label_key)
     checked = 0
     failures: list[tuple] = []
-    stack = [((i,), sets[i]) for i in reversed(order) if sets[i]]
-    while stack:
-        chosen, common = stack.pop()
+    for chosen, common in _intersections(cover):
         checked += 1
         if not _is_full_simplex(common):
             failures.append(chosen)
-        start = order.index(chosen[-1]) + 1
-        for i in order[start:]:
-            meet = common & sets[i]
-            if meet:
-                stack.append((chosen + (i,), meet))
     return NerveHypothesesReport(
         passed=not failures,
         intersections_checked=checked,

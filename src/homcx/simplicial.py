@@ -18,7 +18,6 @@ from .canon import canonical_order, render_label, simplex_key
 __all__ = [
     "SimplicialComplex",
     "Poset",
-    "from_facets",
     "skeleton",
     "face_poset",
     "order_complex",
@@ -212,10 +211,6 @@ class Poset:
             for u in reversed(ups):
                 stack.append(chain + (u,))
         return chains
-
-
-def from_facets(facets: Iterable[Iterable[Any]]) -> SimplicialComplex:
-    return SimplicialComplex.from_facets(facets)
 
 
 def skeleton(X: SimplicialComplex, k: int) -> SimplicialComplex:

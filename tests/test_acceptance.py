@@ -28,7 +28,6 @@ from homcx import (
     fiber_maximum,
     fold_reduce,
     fraction_free_rank,
-    from_facets,
     greedy_collapse,
     hom_order_complex,
     homology,
@@ -226,7 +225,7 @@ def test_criterion_09_homology_kernel():
         for _ in range(r.randint(1, 5)):
             k = r.randint(1, min(nv, 4))
             facets.append(r.sample(range(1, nv + 1), k))
-        return from_facets(facets)
+        return SimplicialComplex.from_facets(facets)
 
     spaces = [core_fixture(n) for n in CORE_FIXTURE_NAMES]
     spaces += [random_complex(rng) for _ in range(100)]

@@ -1,8 +1,10 @@
 """Command line round trips and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +156,16 @@ def test_missing_file_exit_code(capsys):
     assert err
 
 
+@pytest.mark.parametrize("command", [["nbhd"], ["hom", "--g", "K2"]])
+def test_non_string_edge_endpoint_exit_code(capsys, tmp_path, command):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", ["b"]]]}))
+    code, out, err = run(capsys, command + [str(p)])
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bad_fixture_name_exit_code(capsys):
     code, _, err = run(capsys, ["verify", "thm-1.2", "--fixture", "moebius"])
     assert code == 2
@@ -182,9 +194,10 @@ def test_empty_fixture_tuple_is_not_a_pass():
 def test_console_script_entry_point(tmp_path):
     p = tmp_path / "pt.json"
     save_complex(core_fixture("point"), str(p))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     res = subprocess.run(
         [sys.executable, "-m", "homcx.cli", "homology", str(p)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert res.returncode == 0
     assert json.loads(res.stdout) == {"betti": [1], "torsion": [[]]}

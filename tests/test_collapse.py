@@ -7,12 +7,12 @@ from homcx import (
     CollapsiblePair,
     CollapseStep,
     Filtration,
+    SimplicialComplex,
     StalledCollapse,
     barycentric_subdivision,
     certificate_to_dict,
     core_fixture,
     free_face_pairs,
-    from_facets,
     greedy_collapse,
     homology,
     kl_filtration,
@@ -43,7 +43,7 @@ def test_closed_complexes_have_no_free_faces():
 
 def test_free_face_with_dimension_gap():
     # lone triangle: each vertex sits under the single facet, two levels up
-    X = from_facets([[1, 2, 3]])
+    X = SimplicialComplex.from_facets([[1, 2, 3]])
     pairs = free_face_pairs(X)
     taus = {p.tau for p in pairs}
     assert frozenset([1]) in taus
@@ -66,7 +66,7 @@ def test_perform_collapse_rejects_non_free_face():
 
 def test_greedy_collapse_of_simplices():
     for n in range(2, 6):
-        X = from_facets([list(range(1, n + 1))])
+        X = SimplicialComplex.from_facets([list(range(1, n + 1))])
         core, cert = greedy_collapse(X)
         assert len(core) == 1, n
         assert core.dim == 0

@@ -14,7 +14,6 @@ from homcx import (
     core_fixture,
     euler_characteristic,
     fraction_free_rank,
-    from_facets,
     homology,
     profiles_equal,
     smith_normal_form,
@@ -183,7 +182,7 @@ def test_seven_vertex_torus():
         step = lambda d: (i - 1 + d) % 7 + 1
         facets.append([i, step(1), step(3)])
         facets.append([i, step(2), step(3)])
-    T = from_facets(facets)
+    T = SimplicialComplex.from_facets(facets)
     assert T.f_vector() == (7, 21, 14)
     prof = homology(T)
     assert prof.betti == (1, 2, 1)
@@ -191,7 +190,7 @@ def test_seven_vertex_torus():
 
 
 def test_two_spheres_disjoint():
-    X = from_facets(
+    X = SimplicialComplex.from_facets(
         [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4],
          [5, 6, 7], [5, 6, 8], [5, 7, 8], [6, 7, 8]]
     )

@@ -1,9 +1,19 @@
-"""Fast paths of the canonical order against their slow definitions."""
+"""Fast paths of the canonical order and of greedy collapse against their
+slow definitions."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homcx import Multihom, label_key
+from homcx import (
+    Multihom,
+    SimplicialComplex,
+    free_face_pairs,
+    greedy_collapse,
+    homology,
+    label_key,
+    profiles_equal,
+    replay_certificate,
+)
 from homcx.canon import canonical_order, simplex_key
 from homcx.simplicial import maximal_sets
 
@@ -48,3 +58,19 @@ def test_maximal_sets_matches_definition(family):
     kept = maximal_sets(family)
     assert len(kept) == len(set(kept))
     assert set(kept) == {s for s in pool if not any(s < t for t in pool)}
+
+
+complexes = st.lists(
+    st.frozensets(st.integers(1, 7), min_size=1, max_size=7), min_size=1, max_size=8
+).map(SimplicialComplex)
+
+
+@settings(deadline=None)
+@given(complexes)
+def test_greedy_collapse_is_a_replayable_homotopy_equivalence(X):
+    core, cert = greedy_collapse(X)
+    assert replay_certificate(cert)
+    # running dry is conclusive: no free face of any dimension is left
+    assert free_face_pairs(core) == []
+    assert profiles_equal(homology(core), homology(X))
+    assert len(core) + 2 * len(cert.steps) == len(X)

@@ -13,7 +13,6 @@ from homcx import (
     core_fixture,
     euler_characteristic,
     face_poset,
-    from_facets,
     load_complex,
     order_complex,
     save_complex,
@@ -38,7 +37,7 @@ def random_complex(rng, n_max=6, f_max=5, dim_max=3):
     for _ in range(rng.randint(1, f_max)):
         k = rng.randint(1, min(n, dim_max + 1))
         facets.append(rng.sample(verts, k))
-    return from_facets(facets)
+    return SimplicialComplex.from_facets(facets)
 
 
 def test_closure_matches_enumeration():
@@ -49,15 +48,15 @@ def test_closure_matches_enumeration():
 
 
 def test_facet_absorption():
-    X = from_facets([[1, 2, 3], [1, 2], [3], [2, 3]])
+    X = SimplicialComplex.from_facets([[1, 2, 3], [1, 2], [3], [2, 3]])
     assert X.facets == frozenset([frozenset([1, 2, 3])])
 
 
 def test_from_facets_rejects_bad_input():
     with pytest.raises(ValueError):
-        from_facets([[1, 1, 2]])
+        SimplicialComplex.from_facets([[1, 1, 2]])
     with pytest.raises(ValueError):
-        from_facets([[]])
+        SimplicialComplex.from_facets([[]])
 
 
 def test_simplices_canonical_order():
@@ -99,7 +98,7 @@ def test_contains_and_len():
 
 
 def test_skeleton():
-    X = from_facets([[1, 2, 3, 4]])
+    X = SimplicialComplex.from_facets([[1, 2, 3, 4]])
     S1 = skeleton(X, 1)
     assert S1.f_vector() == (4, 6)
     S0 = skeleton(X, 0)
