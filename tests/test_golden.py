@@ -4,8 +4,10 @@ The canonical simplex order picks the free face a greedy collapse takes
 first, orders each removed interval, and orders the facets of every
 rendered complex.  The sha256 digests below were recorded from the
 original per-comparison ``label_key`` ordering (the neighborhood-complex
-greedy certificates from the rank-relabelling greedy collapse); a change
-to the order, to the collapse or to the rendering changes them.
+greedy certificates from the rank-relabelling greedy collapse, the verify
+reports from the order-complex route to Hom homology); a change to the
+order, to the collapse, to the homology route or to the rendering changes
+them.
 """
 
 import hashlib
@@ -26,6 +28,7 @@ from homcx import (
     run_suite,
     save_complex,
     save_graph,
+    suite_to_dict,
 )
 from homcx.cli import main
 
@@ -70,6 +73,37 @@ PROP_COLLAPSE_CERTIFICATES = {
     "wedge_triangles": "c05d75f00dad6aaf865606aa36e05dc76256beb65ccf71c11b0acaf9742b893b",
     "rp2": "064bec2512a186a3b4b437faf773507be66a9c35519b015ce8c5f9a5cb7b48cc",
 }
+
+
+# verify reports without wall times: lemma-hom-nbhd one fixture at a time,
+# thm-1.1 and fold at their default fixtures
+SUITE_REPORTS = {
+    ("lemma-hom-nbhd", "point"): "1fddd8ef4bc9eb909f672de4e92d41bd265cc875c4d6f2ddbe9684d4ccb5ed73",
+    ("lemma-hom-nbhd", "delta1"): "1e21c3849c30ebb9f6f5825f18d298b4ec7b2185a47625ce98c23cd2639cd6af",
+    ("lemma-hom-nbhd", "boundary_delta2"): "1e0c1e29059261c46afedf89b07fe8ba9a03f20b7923353be4b2b90be9ee8996",
+    ("lemma-hom-nbhd", "path2"): "483fe2dafa679cb54b0af5d16608f857d96a60071b27694875bed0c411dcdfb0",
+    ("lemma-hom-nbhd", "wedge_triangles"): "22c96e65ca928020cf9f6feb83df899092d47359889e5ae048ed84e21d4ffd55",
+    ("thm-1.1", None): "1a69dbf0ff875fddd5d9ecb463a921910ab7a6073dbfccfc538984a43bc7e426",
+    ("fold", None): "3f585346235dc4e7dc2227d8f16addd74616c4d544dc43c847cc338969f93476",
+}
+
+
+def without_wall_times(d):
+    if isinstance(d, dict):
+        return {k: without_wall_times(v) for k, v in d.items() if k != "wall_time_s"}
+    if isinstance(d, list):
+        return [without_wall_times(v) for v in d]
+    return d
+
+
+@pytest.mark.parametrize("theorem,fixture", list(SUITE_REPORTS))
+def test_suite_report_digest(theorem, fixture):
+    result = run_suite(theorem, fixtures=None if fixture is None else (fixture,))
+    assert result.passed
+    blob = json.dumps(
+        without_wall_times(suite_to_dict(result)), sort_keys=True, separators=(",", ":")
+    )
+    assert sha256(blob) == SUITE_REPORTS[theorem, fixture]
 
 
 @pytest.mark.parametrize("command,fixture", sorted(CLI_OUTPUT))
