@@ -38,10 +38,11 @@ from .homology import (
     HomologyProfile,
     SNFResult,
     boundary_matrices,
-    fraction_free_rank,
+    chain_homology,
     homology,
     profiles_equal,
     smith_normal_form,
+    sparse_smith_normal_form,
 )
 from .collapse import (
     CollapseCertificate,
@@ -76,6 +77,7 @@ from .hom import (
     common_neighbor_witness,
     enumerate_hom,
     fiber_maximum,
+    hom_homology,
     hom_order_complex,
     hom_poset_to_dict,
     is_multihom,

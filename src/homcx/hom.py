@@ -21,6 +21,7 @@ from typing import Any, Iterable, Mapping
 
 from .canon import canonical_order, label_key, render_label, sorted_labels
 from .graphs import Graph, common_neighborhood, complete_graph
+from .homology import HomologyProfile, chain_homology
 from .simplicial import Poset, SimplicialComplex, order_complex
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "is_multihom",
     "enumerate_hom",
     "hom_order_complex",
+    "hom_homology",
     "restriction_map",
     "fiber_maximum",
     "common_neighbor_witness",
@@ -79,6 +81,13 @@ class Multihom:
 
     domain: tuple
     images: tuple
+
+    def __post_init__(self):
+        # every dict and set lookup hashes the key; compute it once
+        object.__setattr__(self, "_hash", hash((self.domain, self.images)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def get(self, u: Any) -> frozenset:
         return self.images[self.domain.index(u)]
@@ -257,6 +266,48 @@ def hom_order_complex(P: HomPoset) -> SimplicialComplex:
     """Order complex of the multihomomorphism poset; vertices are the
     poset elements themselves."""
     return order_complex(P.to_poset())
+
+
+def hom_homology(P: HomPoset) -> HomologyProfile:
+    """Cellular homology of Hom(G, H), in dimensions 0 .. its dimension.
+
+    Hom(G, H) is a polyhedral complex whose cell eta is the product of
+    simplices on its images and whose face poset is P, so its cellular
+    homology is that of the order complex of P.  A cell has dimension
+    sum_i (|eta_i| - 1).  With each image sorted by one canonical order of
+    the target vertices, the boundary is the product rule
+
+        d(eta) = sum_i sum_j (-1)^(sum_{l<i} (|eta_l| - 1) + j)
+                 eta[eta_i <- eta_i - a_ij],
+
+    where a_ij is the j-th vertex of eta_i and i runs over the images
+    with at least two vertices.
+    """
+    _, rank = canonical_order(frozenset().union(*(img for m in P for img in m.images)))
+    position = rank.__getitem__
+    dim = {m: m.total_size() - len(m.images) for m in P}
+    cells: list[list[Multihom]] = [[] for _ in range(max(dim.values(), default=-1) + 1)]
+    for m in P:
+        cells[dim[m]].append(m)
+    index = {m: j for by_dim in cells for j, m in enumerate(by_dim)}
+    columns = []
+    for by_dim in cells[1:]:
+        boundaries = []
+        for m in by_dim:
+            column = {}
+            offset = 0
+            for i, img in enumerate(m.images):
+                if len(img) > 1:
+                    for j, a in enumerate(sorted(img, key=position)):
+                        face = Multihom(
+                            domain=m.domain,
+                            images=m.images[:i] + (img - {a},) + m.images[i + 1 :],
+                        )
+                        column[index[face]] = -1 if (offset + j) % 2 else 1
+                offset += len(img) - 1
+            boundaries.append(column)
+        columns.append(boundaries)
+    return chain_homology([len(by_dim) for by_dim in cells], columns)
 
 
 def restriction_map(eta: Multihom) -> Multihom:

@@ -1,16 +1,20 @@
-"""Integral simplicial homology via Smith normal form.
+"""Integral homology by sparse elimination on unit pivots.
 
-Boundary matrices use the alternating-sum sign convention on vertices
-sorted canonically.  The Smith reduction works on arbitrary-precision
-Python ints with gcd-driven elimination, pivoting on a smallest-magnitude
-nonzero entry.  A fraction-free (Bareiss) rank routine is provided as an
-independent cross-check on the SNF ranks.
+A chain complex is given by its cell counts and its boundary columns,
+one dict ``{row: coefficient}`` per cell.  Simplicial boundaries use the
+alternating-sum sign convention on vertices sorted canonically.  Each
+boundary is reduced by pivoting on +-1 entries, which adds a 1 to the
+Smith diagonal per pivot; only the residue without unit entries goes to
+the dense Smith reduction, which works on arbitrary-precision Python
+ints with gcd-driven elimination, pivoting on a smallest-magnitude
+nonzero entry.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .simplicial import SimplicialComplex
 
@@ -20,7 +24,8 @@ __all__ = [
     "HomologyProfile",
     "boundary_matrices",
     "smith_normal_form",
-    "fraction_free_rank",
+    "sparse_smith_normal_form",
+    "chain_homology",
     "homology",
     "profiles_equal",
 ]
@@ -69,41 +74,67 @@ def _boundary_terms(vertices: tuple):
         yield sign, vertices[:i] + vertices[i + 1 :]
 
 
+def _chain_complex(X: SimplicialComplex) -> tuple[list[tuple], list[list[dict]]]:
+    """The simplices of X by dimension, in canonical order, and the
+    boundary columns of every dimension k >= 1: ``columns[k - 1][j]`` maps
+    the index of each facet of the j-th k-simplex to its sign."""
+    position = X.rank.__getitem__
+    by_dim: list[list[frozenset]] = [[] for _ in range(X.dim + 1)]
+    for s in X.simplices():
+        by_dim[len(s) - 1].append(s)
+    columns = []
+    for k in range(1, X.dim + 1):
+        row_index = {s: i for i, s in enumerate(by_dim[k - 1])}
+        columns.append(
+            [
+                {
+                    row_index[frozenset(face)]: sign
+                    for sign, face in _boundary_terms(tuple(sorted(s, key=position)))
+                }
+                for s in by_dim[k]
+            ]
+        )
+    return [tuple(cells) for cells in by_dim], columns
+
+
+def _check_boundary_squared(columns: Sequence[Sequence[Mapping[int, int]]]) -> None:
+    """Raise unless every boundary composes to zero with the one below it."""
+    for k in range(2, len(columns) + 1):
+        below = columns[k - 2]
+        for j, column in enumerate(columns[k - 1]):
+            acc: dict[int, int] = {}
+            for i, a in column.items():
+                for r, b in below[i].items():
+                    acc[r] = acc.get(r, 0) + a * b
+            if any(acc.values()):
+                raise AssertionError(
+                    f"boundary of boundary is nonzero at {k}-cell {j}"
+                )
+
+
 def boundary_matrices(X: SimplicialComplex) -> list[BoundaryMatrix]:
-    """Boundary matrices for dimensions 1 .. dim X.
+    """Boundary matrices for dimensions 1 .. dim X: the dense view of the
+    sparse columns :func:`homology` eliminates.
 
     The composite of consecutive boundaries is verified to vanish on
     every generator before the matrices are returned.
     """
-    position = X.rank.__getitem__
-    by_dim: dict[int, list[frozenset]] = {}
-    for s in X.simplices():
-        by_dim.setdefault(len(s) - 1, []).append(s)
+    cells, columns = _chain_complex(X)
+    _check_boundary_squared(columns)
     matrices = []
     for k in range(1, X.dim + 1):
-        rows = tuple(by_dim.get(k - 1, ()))
-        cols = tuple(by_dim.get(k, ()))
-        row_index = {s: i for i, s in enumerate(rows)}
-        entries = [[0] * len(cols) for _ in rows]
-        for j, s in enumerate(cols):
-            for sign, face in _boundary_terms(tuple(sorted(s, key=position))):
-                entries[row_index[frozenset(face)]][j] = sign
+        entries = [[0] * len(cells[k]) for _ in cells[k - 1]]
+        for j, column in enumerate(columns[k - 1]):
+            for i, sign in column.items():
+                entries[i][j] = sign
         matrices.append(
             BoundaryMatrix(
                 k=k,
-                rows=rows,
-                cols=cols,
+                rows=cells[k - 1],
+                cols=cells[k],
                 entries=tuple(map(tuple, entries)),
             )
         )
-    for k in range(2, X.dim + 1):
-        for s in by_dim.get(k, ()):
-            acc: dict[tuple, int] = {}
-            for sign, face in _boundary_terms(tuple(sorted(s, key=position))):
-                for sign2, sub in _boundary_terms(face):
-                    acc[sub] = acc.get(sub, 0) + sign * sign2
-            if any(acc.values()):
-                raise AssertionError(f"boundary of boundary is nonzero at {s!r}")
     return matrices
 
 
@@ -188,59 +219,116 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SNFResult:
     return SNFResult(diagonal=tuple(diagonal), rank=len(diagonal), shape=(m, n))
 
 
-def fraction_free_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by Bareiss elimination (exact divisions,
-    no fractions).  Independent of the Smith reduction."""
-    A = [[int(x) for x in row] for row in matrix]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rank = 0
-    prev = 1
-    for col in range(n):
-        pivot_row = None
-        for i in range(rank, m):
-            if A[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+def sparse_smith_normal_form(
+    columns: Sequence[Mapping[int, int]], n_rows: int
+) -> SNFResult:
+    """Smith normal form diagonal of the integer matrix whose j-th column
+    maps row indices to its nonzero entries.
+
+    Each step takes a row with the fewest entries that holds a +-1 entry,
+    pivots on that entry in its shortest column, and clears the row from
+    the other columns.  Every such step is unimodular and contributes a 1
+    to the diagonal.  Once no +-1 entry is left, the residue goes to
+    :func:`smith_normal_form`.  All arithmetic is exact.
+    """
+    cols = {j: dict(c) for j, c in enumerate(columns) if c}
+    rows: dict[int, set[int]] = {}
+    for j, c in cols.items():
+        for i in c:
+            rows.setdefault(i, set()).add(j)
+    # rows whose entries changed are pushed again, so an entry whose count
+    # is out of date is stale, and a row never misses a unit it gains
+    heap = [(len(js), i) for i, js in rows.items()]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        count, r = heapq.heappop(heap)
+        js = rows.get(r)
+        if js is None or len(js) != count:
             continue
-        A[rank], A[pivot_row] = A[pivot_row], A[rank]
-        p = A[rank][col]
-        for i in range(rank + 1, m):
-            factor = A[i][col]
-            for j in range(col, n):
-                num = p * A[i][j] - factor * A[rank][j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise AssertionError("Bareiss division not exact")
-                A[i][j] = q
-        prev = p
-        rank += 1
-        if rank == m:
-            break
-    return rank
+        unit_cols = [j for j in js if cols[j][r] in (1, -1)]
+        if not unit_cols:
+            continue
+        p = min(unit_cols, key=lambda j: (len(cols[j]), j))
+        pivot = cols.pop(p)
+        u = pivot[r]
+        del rows[r]
+        touched = set(pivot)
+        touched.discard(r)
+        for i in touched:
+            rows[i].discard(p)
+        for j in js:
+            if j == p:
+                continue
+            c = cols[j]
+            f = c[r] * u
+            for i, a in pivot.items():
+                value = c.get(i, 0) - f * a
+                if value:
+                    if i not in c and i != r:
+                        rows[i].add(j)
+                    c[i] = value
+                else:
+                    del c[i]
+                    if i != r:
+                        rows[i].discard(j)
+            if not c:
+                del cols[j]
+        for i in touched:
+            if rows[i]:
+                heapq.heappush(heap, (len(rows[i]), i))
+            else:
+                del rows[i]
+        units += 1
+    residue_rows = sorted(rows)
+    at = {i: t for t, i in enumerate(residue_rows)}
+    residue = []
+    for c in cols.values():
+        dense = [0] * len(residue_rows)
+        for i, a in c.items():
+            dense[at[i]] = a
+        residue.append(dense)
+    # the residue's transpose has the same Smith form
+    tail = smith_normal_form(residue).diagonal
+    diagonal = (1,) * units + tail
+    return SNFResult(diagonal=diagonal, rank=len(diagonal), shape=(n_rows, len(columns)))
+
+
+def chain_homology(
+    counts: Sequence[int], columns: Sequence[Sequence[Mapping[int, int]]]
+) -> HomologyProfile:
+    """Integral homology of a chain complex with ``counts[k]`` cells in
+    dimension k and boundary columns ``columns[k - 1]`` for k >= 1, each
+    mapping the indices of (k-1)-cells to their incidence numbers.
+
+    Betti numbers come from the ranks, torsion from the Smith diagonals.
+    The boundary of every boundary is checked to vanish first."""
+    if len(columns) != max(len(counts) - 1, 0):
+        raise ValueError("need one list of boundary columns per positive dimension")
+    _check_boundary_squared(columns)
+    snfs = [
+        sparse_smith_normal_form(columns[k - 1], counts[k - 1])
+        for k in range(1, len(counts))
+    ]
+    ranks = [0] + [snf.rank for snf in snfs] + [0]
+    diagonals = [snf.diagonal for snf in snfs] + [()]
+    return HomologyProfile(
+        betti=tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts))),
+        torsion=tuple(
+            tuple(d for d in diagonals[k] if d > 1) for k in range(len(counts))
+        ),
+    )
 
 
 def homology(X: SimplicialComplex, reduced: bool = False) -> HomologyProfile:
     """Integral homology of X: Betti numbers in dimensions 0 .. dim X and
     torsion coefficients read off the Smith diagonals."""
-    if X.dim < 0:
-        return HomologyProfile(betti=(), torsion=(), reduced=reduced)
-    counts = X.f_vector()
-    matrices = boundary_matrices(X)
-    snfs = {M.k: smith_normal_form(M.entries) for M in matrices}
-    ranks = {k: snfs[k].rank if k in snfs else 0 for k in range(0, X.dim + 2)}
-    betti = []
-    torsion = []
-    for k in range(X.dim + 1):
-        betti.append(counts[k] - ranks[k] - ranks[k + 1])
-        if k + 1 in snfs:
-            torsion.append(tuple(d for d in snfs[k + 1].diagonal if d > 1))
-        else:
-            torsion.append(())
-    if reduced:
-        betti[0] -= 1
-    return HomologyProfile(betti=tuple(betti), torsion=tuple(torsion), reduced=reduced)
+    cells, columns = _chain_complex(X)
+    profile = chain_homology([len(c) for c in cells], columns)
+    if not reduced:
+        return profile
+    betti = (profile.betti[0] - 1,) + profile.betti[1:] if profile.betti else ()
+    return HomologyProfile(betti=betti, torsion=profile.torsion, reduced=True)
 
 
 def profiles_equal(a: HomologyProfile, b: HomologyProfile) -> bool:

@@ -27,7 +27,6 @@ from homcx import (
     euler_characteristic,
     fiber_maximum,
     fold_reduce,
-    fraction_free_rank,
     greedy_collapse,
     hom_order_complex,
     homology,
@@ -45,6 +44,7 @@ from homcx import (
     verify_kl_collapse_sequence,
     verify_nerve_theorem_hypotheses,
 )
+from test_homology import fraction_free_rank
 
 HOM_FIXTURES = ("point", "delta1", "boundary_delta2")
 

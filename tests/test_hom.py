@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+import homcx.hom
 from homcx import (
     CapExceeded,
     Graph,
@@ -17,12 +18,15 @@ from homcx import (
     core_fixture,
     enumerate_hom,
     fiber_maximum,
+    greedy_collapse,
+    hom_homology,
     hom_order_complex,
     hom_poset_to_dict,
     homology,
     is_multihom,
     looped_edge_graph,
     multihom_to_dict,
+    profiles_equal,
     restriction_map,
 )
 from test_graphs import random_graph
@@ -202,6 +206,34 @@ def test_negative_cap_is_rejected(monkeypatch):
     monkeypatch.setenv("HOMCX_CAP", "-1")
     with pytest.raises(ValueError, match="non-negative"):
         enumerate_hom(complete_graph(2), G)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["point", "delta1", "boundary_delta2", "path2", "wedge_triangles"]
+)
+def test_cellular_homology_matches_order_complex(fixture):
+    G = build_g_kx(core_fixture(fixture), 1)
+    for source in (complete_graph(2), complete_graph(3), looped_edge_graph()):
+        P = enumerate_hom(source, G)
+        core, _ = greedy_collapse(hom_order_complex(P))
+        assert profiles_equal(hom_homology(P), homology(core)), fixture
+
+
+def test_wrong_cellular_sign_fails_the_boundary_check(monkeypatch):
+    """The boundary-of-boundary check sees the cellular boundary: flipping
+    one incidence sign of a 2-cell makes it raise."""
+    P = enumerate_hom(complete_graph(2), build_g_kx(core_fixture("boundary_delta2"), 1))
+    chain_homology = homcx.hom.chain_homology
+
+    def flip_one_sign(counts, columns):
+        column = columns[1][0]
+        face = next(iter(column))
+        column[face] = -column[face]
+        return chain_homology(counts, columns)
+
+    monkeypatch.setattr(homcx.hom, "chain_homology", flip_one_sign)
+    with pytest.raises(AssertionError, match="boundary of boundary"):
+        hom_homology(P)
 
 
 def test_restriction_map_drops_last_vertex():

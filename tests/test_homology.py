@@ -10,10 +10,11 @@ import pytest
 from homcx import (
     HomologyProfile,
     SimplicialComplex,
+    barycentric_subdivision,
     boundary_matrices,
+    chain_homology,
     core_fixture,
     euler_characteristic,
-    fraction_free_rank,
     homology,
     profiles_equal,
     smith_normal_form,
@@ -41,6 +42,39 @@ def rational_rank(matrix):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
         col += 1
+    return rank
+
+
+def fraction_free_rank(matrix):
+    """Rank over the rationals by Bareiss elimination (exact divisions,
+    no fractions).  Independent of the Smith reductions."""
+    A = [[int(x) for x in row] for row in matrix]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rank = 0
+    prev = 1
+    for col in range(n):
+        pivot_row = None
+        for i in range(rank, m):
+            if A[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        A[rank], A[pivot_row] = A[pivot_row], A[rank]
+        p = A[rank][col]
+        for i in range(rank + 1, m):
+            factor = A[i][col]
+            for j in range(col, n):
+                num = p * A[i][j] - factor * A[rank][j]
+                q, r = divmod(num, prev)
+                if r:
+                    raise AssertionError("Bareiss division not exact")
+                A[i][j] = q
+        prev = p
+        rank += 1
+        if rank == m:
+            break
     return rank
 
 
@@ -173,6 +207,23 @@ def test_fixture_homology():
         prof = homology(core_fixture(name))
         assert prof.betti == betti, name
         assert prof.torsion == torsion, name
+
+
+def test_homology_of_second_subdivisions():
+    prof = homology(barycentric_subdivision(core_fixture("rp2"), 2))
+    assert prof.betti == (1, 0, 0)
+    assert prof.torsion == ((), (2,), ())
+    prof = homology(barycentric_subdivision(core_fixture("boundary_delta3"), 2))
+    assert prof.betti == (1, 0, 1)
+    assert prof.torsion == ((), (), ())
+
+
+def test_chain_homology_checks_boundary_of_boundary():
+    # a triangle whose 2-cell has one facet sign flipped
+    edges = [{0: -1, 1: 1}, {0: -1, 2: 1}, {1: -1, 2: 1}]
+    assert chain_homology([3, 3, 1], [edges, [{0: 1, 1: -1, 2: 1}]]).betti == (1, 0, 0)
+    with pytest.raises(AssertionError, match="boundary of boundary"):
+        chain_homology([3, 3, 1], [edges, [{0: 1, 1: 1, 2: 1}]])
 
 
 def test_seven_vertex_torus():
