@@ -5,9 +5,10 @@ first, orders each removed interval, and orders the facets of every
 rendered complex.  The sha256 digests below were recorded from the
 original per-comparison ``label_key`` ordering (the neighborhood-complex
 greedy certificates from the rank-relabelling greedy collapse, the verify
-reports from the order-complex route to Hom homology); a change to the
-order, to the collapse, to the homology route or to the rendering changes
-them.
+reports from the order-complex route to Hom homology, the thm-1.2 and
+thm-1.3 reports and the ``homcx homology`` outputs from homology of the
+greedily collapsed core); a change to the order, to the collapse, to the
+homology route or to the rendering changes them.
 """
 
 import hashlib
@@ -45,6 +46,28 @@ CLI_OUTPUT = {
     ("sd", "boundary_delta2"): "85170499a406e975075365c96a156d8087f5774f1085d4c9a1f2033cf4781d28",
 }
 
+# `homcx homology` output, by homology profile
+HOMOLOGY_OUTPUT = {
+    "point": "48c9bff7de090f63dd0f8f3281c5160690e5587ec808b44aedfd864b06e0e8f2",
+    "circle": "c56c96d7fba1582b953ce8cb4414d81e1812b1434562d86e99525836283d5833",
+    "sphere": "b9b02e1eb3faf947ce3e9fa1166f4bdbfcdfe2fa0f34e240b23ae08940ee14a7",
+    "two_circles": "3fabb0ee85a4794ad8256337702532250ecaac3a870f642fb0bbd18ee5b674b3",
+    "projective_plane": "799de98c4f2bedc980b1a9b4bd0017b78a24400ec9c26b8b5c16b645dd9cb02b",
+}
+HOMOTOPY_TYPE = {
+    "point": "point",
+    "delta1": "point",
+    "path2": "point",
+    "boundary_delta2": "circle",
+    "delta2": "point",
+    "boundary_delta3": "sphere",
+    "wedge_triangles": "two_circles",
+    "rp2": "projective_plane",
+}
+CLI_OUTPUT.update(
+    {("homology", name): HOMOLOGY_OUTPUT[kind] for name, kind in HOMOTOPY_TYPE.items()}
+)
+
 HOM_K2_CIRCLE_POSET = "3d696f6f0bf7e437ba0aed1e111a7ff9e766dd990a156d18dcfa4b2dfb4e7ea0"
 
 HOM_K2_CIRCLE_GREEDY_CERTIFICATE = (
@@ -75,8 +98,8 @@ PROP_COLLAPSE_CERTIFICATES = {
 }
 
 
-# verify reports without wall times: lemma-hom-nbhd one fixture at a time,
-# thm-1.1 and fold at their default fixtures
+# verify reports without wall times: lemma-hom-nbhd and thm-1.2 one fixture
+# at a time, thm-1.1, thm-1.3 and fold at their default fixtures
 SUITE_REPORTS = {
     ("lemma-hom-nbhd", "point"): "1fddd8ef4bc9eb909f672de4e92d41bd265cc875c4d6f2ddbe9684d4ccb5ed73",
     ("lemma-hom-nbhd", "delta1"): "1e21c3849c30ebb9f6f5825f18d298b4ec7b2185a47625ce98c23cd2639cd6af",
@@ -85,6 +108,15 @@ SUITE_REPORTS = {
     ("lemma-hom-nbhd", "wedge_triangles"): "22c96e65ca928020cf9f6feb83df899092d47359889e5ae048ed84e21d4ffd55",
     ("thm-1.1", None): "1a69dbf0ff875fddd5d9ecb463a921910ab7a6073dbfccfc538984a43bc7e426",
     ("fold", None): "3f585346235dc4e7dc2227d8f16addd74616c4d544dc43c847cc338969f93476",
+    ("thm-1.2", "point"): "dd0ee195686347b77469726a7dab0ad476f82b8084640a9de7ae7e549c6dc4f7",
+    ("thm-1.2", "delta1"): "2a49675a06103867498ad7ce4481e64f711877db0d09a643ebb29ca6ae30acaa",
+    ("thm-1.2", "path2"): "0f43a05a25862403a5d4977743dabde33245eb41a886aa3c4b9101cd5e102279",
+    ("thm-1.2", "boundary_delta2"): "e45df1557cb298c577c471f31423a9313398842ab3c306658cc5e6e4b7c4255a",
+    ("thm-1.2", "delta2"): "a4adedd5f858ecce177c457613fed486881822f6d3a13cb0b1a9c3b2b91d378a",
+    ("thm-1.2", "boundary_delta3"): "264b3a6334f7d08323003409ad8cb29fcb77cb19477d0d384ad5a8a2095b75a9",
+    ("thm-1.2", "wedge_triangles"): "3630de258c403f60c8f57ea2de7f93ae145014f064278d331c0ea2c62af2caaa",
+    ("thm-1.2", "rp2"): "cd0ca2f1240e4f4aa11ef4c584f5dbd959a7444bcc93258ab1752995ab934441",
+    ("thm-1.3", None): "f8b2336029d895e5e0daf4f916fd75a9820411ff84bd3d042c38e996ef96a0c0",
 }
 
 
@@ -112,6 +144,14 @@ def test_cli_output_digest(capsys, tmp_path, command, fixture):
     save_complex(core_fixture(fixture), str(path))
     assert main([command, str(path)]) == 0
     assert sha256(capsys.readouterr().out) == CLI_OUTPUT[command, fixture]
+
+
+@pytest.mark.parametrize("name", CORE_FIXTURE_NAMES)
+def test_homology_output_digest_of_neighborhood_complex(capsys, tmp_path, name):
+    path = tmp_path / "n.json"
+    save_complex(neighborhood_complex(build_g_kx(core_fixture(name), 1)), str(path))
+    assert main(["homology", str(path)]) == 0
+    assert sha256(capsys.readouterr().out) == HOMOLOGY_OUTPUT[HOMOTOPY_TYPE[name]]
 
 
 def test_hom_poset_output_digest(capsys, tmp_path):
