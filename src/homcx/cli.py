@@ -77,15 +77,7 @@ def _cmd_clique(args) -> int:
 
 def _cmd_homology(args) -> int:
     X = load_complex(args.input)
-    core, _ = greedy_collapse(X)
-    profile = homology(core)
-    _emit_json(
-        args,
-        {
-            "betti": list(profile.betti),
-            "torsion": [list(t) for t in profile.torsion],
-        },
-    )
+    _emit_json(args, homology(X).to_dict())
     return 0
 
 

@@ -21,7 +21,7 @@ from typing import Any, Iterable, Mapping
 
 from .canon import canonical_order, label_key, render_label, sorted_labels
 from .graphs import Graph, common_neighborhood, complete_graph
-from .homology import HomologyProfile, chain_homology
+from .homology import HomologyProfile, chain_complex, chain_homology
 from .simplicial import Poset, SimplicialComplex, order_complex
 
 __all__ = [
@@ -273,40 +273,12 @@ def hom_homology(P: HomPoset) -> HomologyProfile:
 
     Hom(G, H) is a polyhedral complex whose cell eta is the product of
     simplices on its images and whose face poset is P, so its cellular
-    homology is that of the order complex of P.  A cell has dimension
-    sum_i (|eta_i| - 1).  With each image sorted by one canonical order of
-    the target vertices, the boundary is the product rule
-
-        d(eta) = sum_i sum_j (-1)^(sum_{l<i} (|eta_l| - 1) + j)
-                 eta[eta_i <- eta_i - a_ij],
-
-    where a_ij is the j-th vertex of eta_i and i runs over the images
-    with at least two vertices.
+    homology is that of the order complex of P.  The boundary is the
+    product rule of :func:`~homcx.homology.chain_complex`, with each image
+    sorted by one canonical order of the target vertices.
     """
     _, rank = canonical_order(frozenset().union(*(img for m in P for img in m.images)))
-    position = rank.__getitem__
-    dim = {m: m.total_size() - len(m.images) for m in P}
-    cells: list[list[Multihom]] = [[] for _ in range(max(dim.values(), default=-1) + 1)]
-    for m in P:
-        cells[dim[m]].append(m)
-    index = {m: j for by_dim in cells for j, m in enumerate(by_dim)}
-    columns = []
-    for by_dim in cells[1:]:
-        boundaries = []
-        for m in by_dim:
-            column = {}
-            offset = 0
-            for i, img in enumerate(m.images):
-                if len(img) > 1:
-                    for j, a in enumerate(sorted(img, key=position)):
-                        face = Multihom(
-                            domain=m.domain,
-                            images=m.images[:i] + (img - {a},) + m.images[i + 1 :],
-                        )
-                        column[index[face]] = -1 if (offset + j) % 2 else 1
-                offset += len(img) - 1
-            boundaries.append(column)
-        columns.append(boundaries)
+    cells, columns = chain_complex((m.images for m in P), rank)
     return chain_homology([len(by_dim) for by_dim in cells], columns)
 
 

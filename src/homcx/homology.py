@@ -1,20 +1,25 @@
 """Integral homology by sparse elimination on unit pivots.
 
 A chain complex is given by its cell counts and its boundary columns,
-one dict ``{row: coefficient}`` per cell.  Simplicial boundaries use the
-alternating-sum sign convention on vertices sorted canonically.  Each
-boundary is reduced by pivoting on +-1 entries, which adds a 1 to the
-Smith diagonal per pivot; only the residue without unit entries goes to
-the dense Smith reduction, which works on arbitrary-precision Python
-ints with gcd-driven elimination, pivoting on a smallest-magnitude
-nonzero entry.
+one dict ``{row: coefficient}`` per cell.  One builder makes them for
+products of simplices: a cell is a tuple of vertex sets, and a simplex
+``s`` is the one-factor cell ``(s,)``, so simplicial complexes and the
+cells of Hom share the product-rule boundary with each factor sorted by
+one canonical vertex order.  Each boundary is reduced by pivoting on +-1
+entries, which adds a 1 to the Smith diagonal per pivot; only the
+residue without unit entries goes to the dense Smith reduction, which
+works on arbitrary-precision Python ints with gcd-driven elimination,
+pivoting on a smallest-magnitude nonzero entry.
+
+Profiles are printed up to their homological dimension, by
+:meth:`HomologyProfile.to_dict`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .simplicial import SimplicialComplex
 
@@ -23,6 +28,7 @@ __all__ = [
     "SNFResult",
     "HomologyProfile",
     "boundary_matrices",
+    "chain_complex",
     "smith_normal_form",
     "sparse_smith_normal_form",
     "chain_homology",
@@ -61,40 +67,57 @@ class HomologyProfile:
     reduced: bool = False
 
     def to_dict(self) -> dict:
+        """Betti numbers and torsion up to the homological dimension: the
+        last dimension with a nonzero Betti number or, if later, one past
+        the last with torsion; at least dimension 0 unless there is none."""
+        top = [k for k, b in enumerate(self.betti) if b]
+        top += [k + 1 for k, t in enumerate(self.torsion) if t]
+        depth = min(len(self.betti), 1 + max(top, default=0))
         return {
-            "betti": list(self.betti),
-            "torsion": [list(t) for t in self.torsion],
-            "reduced": self.reduced,
+            "betti": list(self.betti[:depth]),
+            "torsion": [list(t) for t in self.torsion[:depth]],
         }
 
 
-def _boundary_terms(vertices: tuple):
-    for i in range(len(vertices)):
-        sign = 1 if i % 2 == 0 else -1
-        yield sign, vertices[:i] + vertices[i + 1 :]
+def chain_complex(
+    cells: Iterable[tuple], rank: Mapping
+) -> tuple[list[tuple], list[list[dict]]]:
+    """The cells by dimension, in the given order, and the boundary
+    columns of every dimension k >= 1: ``columns[k - 1][j]`` maps the index
+    of each face of the j-th k-cell to its incidence number.
 
+    A cell is a tuple of vertex sets, the product of the simplices on
+    them, of dimension sum_i (|eta_i| - 1).  With each factor sorted by
+    ``rank``, the boundary is the product rule
 
-def _chain_complex(X: SimplicialComplex) -> tuple[list[tuple], list[list[dict]]]:
-    """The simplices of X by dimension, in canonical order, and the
-    boundary columns of every dimension k >= 1: ``columns[k - 1][j]`` maps
-    the index of each facet of the j-th k-simplex to its sign."""
-    position = X.rank.__getitem__
-    by_dim: list[list[frozenset]] = [[] for _ in range(X.dim + 1)]
-    for s in X.simplices():
-        by_dim[len(s) - 1].append(s)
+        d(eta) = sum_i sum_j (-1)^(sum_{l<i} (|eta_l| - 1) + j)
+                 eta[eta_i <- eta_i - a_ij],
+
+    where a_ij is the j-th vertex of eta_i and i runs over the factors
+    with at least two vertices.  A simplex s is the cell ``(s,)``.
+    """
+    by_dim: list[list[tuple]] = []
+    for cell in cells:
+        k = sum(len(f) for f in cell) - len(cell)
+        by_dim.extend([] for _ in range(k + 1 - len(by_dim)))
+        by_dim[k].append(cell)
+    position = rank.__getitem__
     columns = []
-    for k in range(1, X.dim + 1):
-        row_index = {s: i for i, s in enumerate(by_dim[k - 1])}
-        columns.append(
-            [
-                {
-                    row_index[frozenset(face)]: sign
-                    for sign, face in _boundary_terms(tuple(sorted(s, key=position)))
-                }
-                for s in by_dim[k]
-            ]
-        )
-    return [tuple(cells) for cells in by_dim], columns
+    for below, above in zip(by_dim, by_dim[1:]):
+        row_index = {cell: i for i, cell in enumerate(below)}
+        boundaries = []
+        for cell in above:
+            column = {}
+            offset = 0
+            for i, f in enumerate(cell):
+                if len(f) > 1:
+                    for j, a in enumerate(sorted(f, key=position)):
+                        face = cell[:i] + (f - {a},) + cell[i + 1 :]
+                        column[row_index[face]] = -1 if (offset + j) % 2 else 1
+                offset += len(f) - 1
+            boundaries.append(column)
+        columns.append(boundaries)
+    return [tuple(c) for c in by_dim], columns
 
 
 def _check_boundary_squared(columns: Sequence[Sequence[Mapping[int, int]]]) -> None:
@@ -119,8 +142,9 @@ def boundary_matrices(X: SimplicialComplex) -> list[BoundaryMatrix]:
     The composite of consecutive boundaries is verified to vanish on
     every generator before the matrices are returned.
     """
-    cells, columns = _chain_complex(X)
+    cells, columns = chain_complex(((s,) for s in X.simplices()), X.rank)
     _check_boundary_squared(columns)
+    simplices = [tuple(s for (s,) in by_dim) for by_dim in cells]
     matrices = []
     for k in range(1, X.dim + 1):
         entries = [[0] * len(cells[k]) for _ in cells[k - 1]]
@@ -130,8 +154,8 @@ def boundary_matrices(X: SimplicialComplex) -> list[BoundaryMatrix]:
         matrices.append(
             BoundaryMatrix(
                 k=k,
-                rows=cells[k - 1],
-                cols=cells[k],
+                rows=simplices[k - 1],
+                cols=simplices[k],
                 entries=tuple(map(tuple, entries)),
             )
         )
@@ -323,7 +347,7 @@ def chain_homology(
 def homology(X: SimplicialComplex, reduced: bool = False) -> HomologyProfile:
     """Integral homology of X: Betti numbers in dimensions 0 .. dim X and
     torsion coefficients read off the Smith diagonals."""
-    cells, columns = _chain_complex(X)
+    cells, columns = chain_complex(((s,) for s in X.simplices()), X.rank)
     profile = chain_homology([len(c) for c in cells], columns)
     if not reduced:
         return profile

@@ -32,7 +32,6 @@ from .graphs import (
     neighborhood_complex,
 )
 from .hom import (
-    HomPoset,
     Multihom,
     check_quillen_conditions,
     common_neighbor_witness,
@@ -82,27 +81,14 @@ class SuiteResult:
     wall_time_s: float
 
 
-def _profile_dict(p: HomologyProfile) -> dict:
-    return {"betti": list(p.betti), "torsion": [list(t) for t in p.torsion]}
-
-
 def collapsed_profile(X: SimplicialComplex) -> tuple[HomologyProfile, int, int]:
     """Homology after a greedy collapse, with simplex counts before and
-    after.  Reports print the homology of the collapsed core, so its
-    depth is the core's dimension."""
+    after.  Kept only where a report prints those counts; every other
+    profile is the homology of the complex itself."""
     before = len(X) if X.dim >= 0 else 0
     core, _ = greedy_collapse(X)
     after = len(core) if core.dim >= 0 else 0
     return homology(core), before, after
-
-
-def _hom_profile(P: HomPoset) -> HomologyProfile:
-    """Cellular homology of Hom up to its top non-vanishing dimension,
-    keeping dimension 0 unless P is empty."""
-    p = hom_homology(P)
-    top = max((k for k in range(len(p.betti)) if p.betti[k] or p.torsion[k]), default=0)
-    depth = min(top + 1, len(p.betti))
-    return HomologyProfile(betti=p.betti[:depth], torsion=p.torsion[:depth])
 
 
 def _digest(payload: dict) -> str:
@@ -129,10 +115,10 @@ def _suite_thm_1_2(fixtures, n, cap):
         X = core_fixture(name)
         N = neighborhood_complex(build_g_kx(X, 1))
         left, nb_before, nb_after = collapsed_profile(N)
-        right, _, _ = collapsed_profile(X)
+        right = homology(X)
         yield name, profiles_equal(left, right), {
-            "nbhd_profile": _profile_dict(left),
-            "fixture_profile": _profile_dict(right),
+            "nbhd_profile": left.to_dict(),
+            "fixture_profile": right.to_dict(),
             "nbhd_simplices": nb_before,
             "nbhd_simplices_after_collapse": nb_after,
         }
@@ -140,6 +126,8 @@ def _suite_thm_1_2(fixtures, n, cap):
 
 def _suite_thm_1_3(fixtures, n, cap):
     n = 3 if n is None else n
+    if n < 3:
+        raise ValueError("thm-1.3 compares Hom(K_{n-1}) with Hom(K_n) for n >= 3")
     for name in fixtures:
         X = core_fixture(name)
         G = build_g_kx(X, 1)
@@ -152,8 +140,8 @@ def _suite_thm_1_3(fixtures, n, cap):
             profiles.append(prof)
             sizes.append({"elements": len(P), "chains": before, "after_collapse": after})
         yield name, profiles_equal(profiles[0], profiles[1]), {
-            f"hom_k{n - 1}_profile": _profile_dict(profiles[0]),
-            f"hom_k{n}_profile": _profile_dict(profiles[1]),
+            f"hom_k{n - 1}_profile": profiles[0].to_dict(),
+            f"hom_k{n}_profile": profiles[1].to_dict(),
             f"hom_k{n - 1}_size": sizes[0],
             f"hom_k{n}_size": sizes[1],
         }
@@ -164,11 +152,11 @@ def _suite_lemma_hom_nbhd(fixtures, n, cap):
         X = core_fixture(name)
         G = build_g_kx(X, 1)
         P = enumerate_hom(complete_graph(2), G, cap=cap)
-        left = _hom_profile(P)
-        right, _, _ = collapsed_profile(neighborhood_complex(G))
+        left = hom_homology(P)
+        right = homology(neighborhood_complex(G))
         yield name, profiles_equal(left, right), {
-            "hom_k2_profile": _profile_dict(left),
-            "nbhd_profile": _profile_dict(right),
+            "hom_k2_profile": left.to_dict(),
+            "nbhd_profile": right.to_dict(),
             "hom_k2_elements": len(P),
         }
 
@@ -178,8 +166,8 @@ def _suite_thm_1_1(fixtures, n, cap):
     for name in fixtures:
         X = core_fixture(name)
         G = build_g_kx(X, 1)
-        target, _, _ = collapsed_profile(X)
-        artifacts = {"fixture_profile": _profile_dict(target)}
+        target = homology(X)
+        artifacts = {"fixture_profile": target.to_dict()}
         ok = True
         for label, source in (
             ("k2", complete_graph(2)),
@@ -188,8 +176,8 @@ def _suite_thm_1_1(fixtures, n, cap):
         ):
             if diameter(source) != 1:
                 raise AssertionError("test graph is not of diameter 1")
-            prof = _hom_profile(enumerate_hom(source, G, cap=cap))
-            artifacts[f"hom_{label}_profile"] = _profile_dict(prof)
+            prof = hom_homology(enumerate_hom(source, G, cap=cap))
+            artifacts[f"hom_{label}_profile"] = prof.to_dict()
             ok = ok and profiles_equal(prof, target)
         yield name, ok, artifacts
 
@@ -238,6 +226,8 @@ def _suite_prop_3_1(fixtures, n, cap):
 
 def _suite_prop_4_1(fixtures, n, cap):
     ns = (2, 3) if n is None else (n,)
+    if min(ns) < 2:
+        raise ValueError("witness checks need n >= 2: images of K_1 need not be cliques")
     for name in fixtures:
         X = core_fixture(name)
         H = build_g_kx(X, 1)
@@ -291,13 +281,13 @@ def _suite_fold(fixtures, n, cap):
         flag = clique_complex(G)
         sd = barycentric_subdivision(X, 1)
         clique_ok = flag == sd
-        prof = _hom_profile(enumerate_hom(T, G, cap=cap))
-        target, _, _ = collapsed_profile(X)
+        prof = hom_homology(enumerate_hom(T, G, cap=cap))
+        target = homology(X)
         hom_ok = profiles_equal(prof, target)
         yield name, clique_ok and hom_ok, {
             "clique_equals_subdivision": clique_ok,
-            "hom_looped_profile": _profile_dict(prof),
-            "fixture_profile": _profile_dict(target),
+            "hom_looped_profile": prof.to_dict(),
+            "fixture_profile": target.to_dict(),
         }
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from homcx import core_fixture, run_suite, save_complex
+from homcx import SimplicialComplex, core_fixture, greedy_collapse, run_suite, save_complex
 from homcx.cli import main
 
 
@@ -38,6 +38,31 @@ def test_homology_command(capsys, tmp_path):
     code, out, _ = run(capsys, ["homology", str(p)])
     assert code == 0
     assert json.loads(out) == {"betti": [1, 0, 1], "torsion": [[], [], []]}
+
+
+def dunce_hat():
+    """Boundary word a a a^-1 with a = 1-2-3-1, a ring r0..r8 inside it and
+    a centre c: contractible, and every edge lies in two triangles or more,
+    so a greedy collapse stalls at once."""
+    b = [1, 2, 3, 1, 2, 3, 1, 3, 2]
+    r = [f"r{t}" for t in range(9)]
+    facets = []
+    for t in range(9):
+        u = (t + 1) % 9
+        facets += [(b[t], b[u], r[t]), (b[u], r[u], r[t]), (r[t], r[u], "c")]
+    return SimplicialComplex.from_facets(facets)
+
+
+def test_homology_command_prints_homology_not_the_collapsed_core(capsys, tmp_path):
+    X = dunce_hat()
+    assert (len(X.vertices), len(X.facets)) == (13, 27)
+    core, cert = greedy_collapse(X)
+    assert not cert.steps and core.dim == 2
+    p = tmp_path / "dunce.json"
+    save_complex(X, str(p))
+    code, out, _ = run(capsys, ["homology", str(p)])
+    assert code == 0
+    assert json.loads(out) == {"betti": [1], "torsion": [[]]}
 
 
 def test_sd_command(capsys, edge_file):
@@ -184,6 +209,19 @@ def test_zero_and_empty_arguments_are_not_defaults(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert err and not out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm-1.3", "--fixture", "boundary_delta2", "--n", "2"],
+        ["verify", "prop-4.1", "--fixture", "boundary_delta2", "--n", "1"],
+    ],
+)
+def test_source_clique_below_the_statement_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error:") and not out
 
 
 def test_empty_fixture_tuple_is_not_a_pass():

@@ -255,6 +255,20 @@ def test_empty_complex_homology():
     assert prof.torsion == ()
 
 
+@pytest.mark.parametrize(
+    "X,printed",
+    [
+        # the Z/2 in H_1 keeps dimension 2, where its relation lives
+        (core_fixture("rp2"), {"betti": [1, 0, 0], "torsion": [[], [2], []]}),
+        (core_fixture("boundary_delta3"), {"betti": [1, 0, 1], "torsion": [[], [], []]}),
+        (core_fixture("delta2"), {"betti": [1], "torsion": [[]]}),
+        (SimplicialComplex([]), {"betti": [], "torsion": []}),
+    ],
+)
+def test_profiles_print_up_to_the_homological_dimension(X, printed):
+    assert homology(X).to_dict() == printed
+
+
 def test_reduced_homology():
     prof = homology(core_fixture("boundary_delta2"), reduced=True)
     assert prof.reduced

@@ -86,6 +86,13 @@ def test_greedy_collapse_is_a_replayable_homotopy_equivalence(X):
     assert len(core) + 2 * len(cert.steps) == len(X)
 
 
+@settings(deadline=None)
+@given(complexes)
+def test_printed_profile_does_not_depend_on_collapse(X):
+    core, _ = greedy_collapse(X)
+    assert homology(X).to_dict() == homology(core).to_dict()
+
+
 matrices = st.integers(1, 7).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=7
