@@ -98,8 +98,9 @@ PROP_COLLAPSE_CERTIFICATES = {
 }
 
 
-# verify reports without wall times: lemma-hom-nbhd and thm-1.2 one fixture
-# at a time, thm-1.1, thm-1.3 and fold at their default fixtures
+# verify reports without wall times: lemma-hom-nbhd, thm-1.2, quillen and
+# prop-4.1 one fixture at a time, thm-1.1, thm-1.3 and fold at their
+# default fixtures
 SUITE_REPORTS = {
     ("lemma-hom-nbhd", "point"): "1fddd8ef4bc9eb909f672de4e92d41bd265cc875c4d6f2ddbe9684d4ccb5ed73",
     ("lemma-hom-nbhd", "delta1"): "1e21c3849c30ebb9f6f5825f18d298b4ec7b2185a47625ce98c23cd2639cd6af",
@@ -117,6 +118,17 @@ SUITE_REPORTS = {
     ("thm-1.2", "wedge_triangles"): "3630de258c403f60c8f57ea2de7f93ae145014f064278d331c0ea2c62af2caaa",
     ("thm-1.2", "rp2"): "cd0ca2f1240e4f4aa11ef4c584f5dbd959a7444bcc93258ab1752995ab934441",
     ("thm-1.3", None): "f8b2336029d895e5e0daf4f916fd75a9820411ff84bd3d042c38e996ef96a0c0",
+    ("quillen", "point"): "6df0100d4e703e61b32aecde07bce059b4971c4d0907899c948f4172ce35ab1d",
+    ("quillen", "delta1"): "c7a695ef8849dae8f6c6f09a61f414a9bbd68b3ae30373324a75c71acc153f08",
+    ("quillen", "boundary_delta2"): "c490081fb4bce204fbb789f8e81b9475114cc00e33092dd7e5d856c8538aeba1",
+    ("quillen", "delta2"): "2b61268c77adafba57798787b0b549c30897adb83d9dc78168b11f6093c9be69",
+    ("quillen", "wedge_triangles"): "521c6df2cdee457274499f8466e334dcf4741feb3743acc3c6d6edc2bd9a2648",
+    ("prop-4.1", "point"): "656e6d3525c3b71a2bf9c332e1af7f562f3f4f3c247ce5be06486266f8171d5c",
+    ("prop-4.1", "delta1"): "3f612e99edbc0d58dc6dbcc8f53962315bc8cf96307fa1b3bb64f2487cccd9ab",
+    ("prop-4.1", "boundary_delta2"): "c00dece616ced9f2f49a7ba07277a5b3bb866c771b712035eef8866c10d0cf58",
+    ("prop-4.1", "delta2"): "cc8908b3c57d5e44ba8e88ea85c05fc0b9d7174b16048bee1d0f90326a0037a9",
+    ("prop-4.1", "wedge_triangles"): "f2f5116b0a5cac418f4a92435e1f80c139b9afb2c715da07281d088a315f284c",
+    ("prop-4.1", "boundary_delta3"): "86d046dfd28212811f4eceb14693d898838c2813eb267a34306352047af91fff",
 }
 
 
