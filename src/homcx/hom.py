@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
+from operator import le
 from typing import Any, Iterable, Mapping
 
 from .canon import canonical_order, label_key, render_label, sorted_labels
@@ -98,7 +100,7 @@ class Multihom:
     def pointwise_le(self, other: "Multihom") -> bool:
         if self.domain != other.domain:
             raise ValueError("multihomomorphisms over different domains")
-        return all(a <= b for a, b in zip(self.images, other.images))
+        return all(map(le, self.images, other.images))
 
     def total_size(self) -> int:
         return sum(len(img) for img in self.images)
@@ -112,7 +114,20 @@ class HomPoset:
 
     def __init__(self, domain: tuple, elements: Iterable[Multihom]):
         self.domain = tuple(domain)
-        self.elements, self._index = canonical_order(elements)
+        elements = list(elements)
+        _, self.target_rank = canonical_order(
+            frozenset().union(*(img for m in elements for img in m.images))
+        )
+        rank = self.target_rank.__getitem__
+        # the label_key order of multihoms: ranks are injective and
+        # order-preserving, so sorted rank tuples compare as sorted keys
+        self.elements = tuple(
+            sorted(
+                elements,
+                key=lambda m: tuple(tuple(sorted(map(rank, img))) for img in m.images),
+            )
+        )
+        self._index = {m: i for i, m in enumerate(self.elements)}
         self._poset: Poset | None = None
 
     def __len__(self) -> int:
@@ -258,7 +273,13 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
                     continue
                 extend(idx + 1, images + (S,))
 
-    extend(0, ())
+    try:
+        extend(0, ())
+    finally:
+        # extend refers to itself through its closure; dropping the name
+        # breaks that cycle, so ``found`` is freed without waiting for the
+        # cyclic garbage collector
+        del extend
     return HomPoset(domain=gverts, elements=found)
 
 
@@ -275,10 +296,9 @@ def hom_homology(P: HomPoset) -> HomologyProfile:
     simplices on its images and whose face poset is P, so its cellular
     homology is that of the order complex of P.  The boundary is the
     product rule of :func:`~homcx.homology.chain_complex`, with each image
-    sorted by one canonical order of the target vertices.
+    sorted by the poset's canonical order of the target vertices.
     """
-    _, rank = canonical_order(frozenset().union(*(img for m in P for img in m.images)))
-    cells, columns = chain_complex((m.images for m in P), rank)
+    cells, columns = chain_complex((m.images for m in P), P.target_rank)
     return chain_homology([len(by_dim) for by_dim in cells], columns)
 
 
@@ -361,6 +381,15 @@ def common_neighbor_witness(eta: Multihom, H: Graph) -> WitnessTrace:
     )
 
 
+def _nonempty_subsets(img: frozenset) -> list[frozenset]:
+    members = tuple(img)
+    return [
+        frozenset(chosen)
+        for r in range(1, len(members) + 1)
+        for chosen in combinations(members, r)
+    ]
+
+
 def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> QuillenReport:
     """Fiber checks for the restriction from complete sources.
 
@@ -368,6 +397,12 @@ def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> Quille
     and it is the one the common-neighborhood extension predicts.
     (B) for every rho below a restricted eta, the fiber part weakly
     below eta has the expected maximal element.
+
+    The rho below a restricted eta are generated, not searched for: they
+    are exactly the products of nonempty subsets of its images, and each
+    is a sub-multihomomorphism, so it lies in Hom(K_{n-1}, H).  They are
+    visited in that poset's order, so the pairs and failures come out as
+    a scan over all of it would list them.
     """
     if n < 3:
         raise ValueError("fiber checks need n >= 3")
@@ -391,21 +426,26 @@ def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> Quille
             maximum_failures.append((str(rho), "fiber member above predicted maximum"))
     pair_failures = []
     pairs = 0
+    subsets = cache(_nonempty_subsets)
     for eta in P:
-        restricted = Multihom(domain=Q.domain, images=eta.images[:-1])
-        for rho in Q:
-            if not rho.pointwise_le(restricted):
-                continue
+        below_eta = []
+        for images in product(*map(subsets, eta.images[:-1])):
+            rho = Multihom(domain=Q.domain, images=images)
+            if rho not in Q:
+                raise AssertionError(
+                    "a sub-multihomomorphism is missing from the poset; "
+                    "enumeration was incomplete"
+                )
+            below_eta.append(rho)
+        below_eta.sort(key=Q.index)
+        for rho in below_eta:
             pairs += 1
             candidate = Multihom(domain=P.domain, images=rho.images + (eta.images[-1],))
             if candidate not in P:
                 pair_failures.append((str(rho), str(eta), "candidate not a multihom"))
                 continue
-            below = [
-                m
-                for m in fibers.get(rho.images, [])
-                if m.pointwise_le(eta)
-            ]
+            # the fiber over rho agrees with eta below the last vertex
+            below = [m for m in fibers[rho.images] if m.images[-1] <= eta.images[-1]]
             if any(not m.pointwise_le(candidate) for m in below):
                 pair_failures.append((str(rho), str(eta), "candidate not maximal"))
     return QuillenReport(

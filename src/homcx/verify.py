@@ -309,6 +309,9 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
+# the suites whose statement is about a source clique K_n of a chosen size
+_CLIQUE_SIZE_SUITES = ("thm-1.3", "prop-4.1", "quillen")
+
 
 def default_fixtures(theorem: str) -> tuple:
     return _SUITES[theorem][2]
@@ -323,6 +326,11 @@ def run_suite(
     if theorem not in _SUITES:
         raise ValueError(
             f"unknown suite {theorem!r}; choose from {', '.join(SUITE_NAMES)}"
+        )
+    if n is not None and theorem not in _CLIQUE_SIZE_SUITES:
+        raise ValueError(
+            f"suite {theorem!r} takes no source clique size n; "
+            f"only {', '.join(_CLIQUE_SIZE_SUITES)} do"
         )
     fn, surrogate, defaults = _SUITES[theorem]
     fixtures = defaults if fixtures is None else tuple(fixtures)

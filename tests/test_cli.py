@@ -224,6 +224,27 @@ def test_source_clique_below_the_statement_is_bad_input(capsys, argv):
     assert err.startswith("error:") and not out
 
 
+@pytest.mark.parametrize(
+    "suite", ["fold", "thm-1.1", "thm-1.2", "lemma-hom-nbhd", "prop-3.1", "prop-collapse"]
+)
+def test_source_clique_size_on_a_suite_without_one_is_bad_input(capsys, suite):
+    code, out, err = run(capsys, ["verify", suite, "--fixture", "point", "--n", "5"])
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_quillen_reaches_boundary_delta3(capsys):
+    code, out, _ = run(
+        capsys, ["verify", "quillen", "--fixture", "boundary_delta3", "--format", "json"]
+    )
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["passed"]
+    assert report["artifacts"]["fibers_checked"] == 3002
+    assert report["artifacts"]["pairs_checked"] == 127238
+
+
 def test_empty_fixture_tuple_is_not_a_pass():
     with pytest.raises(ValueError):
         run_suite("prop-3.1", fixtures=())

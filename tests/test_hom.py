@@ -1,5 +1,6 @@
 """Multihomomorphism enumeration, the Hom poset, witnesses, fibers."""
 
+import gc
 import random
 from itertools import combinations, product
 
@@ -197,6 +198,23 @@ def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv("HOMCX_CAP", "plenty")
     with pytest.raises(ValueError):
         enumerate_hom(complete_graph(2), G)
+
+
+def test_enumeration_leaves_no_garbage_cycle():
+    """The enumeration's working list is freed by reference counting, on
+    return and when the cap is hit, not by a later cyclic collection."""
+    G = build_g_kx(core_fixture("boundary_delta2"), 1)
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_hom(complete_graph(2), G)
+        try:
+            enumerate_hom(complete_graph(2), G, cap=10)
+        except CapExceeded:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_negative_cap_is_rejected(monkeypatch):

@@ -1,17 +1,22 @@
-"""Fast paths of the canonical order, of greedy collapse and of the
-homology engine against their slow definitions."""
+"""Fast paths of the canonical order, of greedy collapse, of the
+homology engine and of the Hom fiber checks against their slow
+definitions."""
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from homcx import (
     Graph,
     HomologyProfile,
+    HomPoset,
     Multihom,
+    QuillenReport,
     SimplicialComplex,
     boundary_matrices,
+    check_quillen_conditions,
     complete_graph,
     enumerate_hom,
+    fiber_maximum,
     free_face_pairs,
     greedy_collapse,
     hom_homology,
@@ -144,3 +149,93 @@ def test_cellular_hom_homology_matches_order_complex(source, H):
     assume(len(P) <= 120)
     core, _ = greedy_collapse(hom_order_complex(P))
     assert profiles_equal(hom_homology(P), homology(core))
+
+
+def quillen_by_scan(n, H):
+    """The fiber checks with the pairs found by scanning all of
+    Hom(K_{n-1}, H) for each eta."""
+    P = enumerate_hom(complete_graph(n), H)
+    Q = enumerate_hom(complete_graph(n - 1), H)
+    fibers = {}
+    for m in P:
+        fibers.setdefault(m.images[:-1], []).append(m)
+    maximum_failures = []
+    for rho in Q:
+        fiber = fibers.get(rho.images, [])
+        try:
+            top = fiber_maximum(rho, H)
+        except ValueError:
+            maximum_failures.append((str(rho), "no candidate maximum"))
+            continue
+        if top not in P:
+            maximum_failures.append((str(rho), "predicted maximum is not a multihom"))
+            continue
+        if any(not m.pointwise_le(top) for m in fiber):
+            maximum_failures.append((str(rho), "fiber member above predicted maximum"))
+    pair_failures = []
+    pairs = 0
+    for eta in P:
+        restricted = Multihom(domain=Q.domain, images=eta.images[:-1])
+        for rho in Q:
+            if not rho.pointwise_le(restricted):
+                continue
+            pairs += 1
+            candidate = Multihom(domain=P.domain, images=rho.images + (eta.images[-1],))
+            if candidate not in P:
+                pair_failures.append((str(rho), str(eta), "candidate not a multihom"))
+                continue
+            below = [m for m in fibers.get(rho.images, []) if m.pointwise_le(eta)]
+            if any(not m.pointwise_le(candidate) for m in below):
+                pair_failures.append((str(rho), str(eta), "candidate not maximal"))
+    return QuillenReport(
+        n=n,
+        fibers_checked=len(Q),
+        pairs_checked=pairs,
+        maximum_failures=tuple(maximum_failures),
+        pair_failures=tuple(pair_failures),
+    )
+
+
+@settings(deadline=None)
+@given(looped_graphs)
+# K3 has fibers without a maximum: ({1,2}|{3}) has no common neighbor
+@example(complete_graph(3))
+def test_quillen_pairs_by_enumeration_match_the_scan(H):
+    # the scan costs |P| * |Q| comparisons; past ~2e5 one example takes seconds
+    assume(len(enumerate_hom(complete_graph(3), H)) * len(enumerate_hom(complete_graph(2), H))
+           <= 200_000)
+    assert check_quillen_conditions(3, H) == quillen_by_scan(3, H)
+
+
+def relabelled(H, labels):
+    """H with vertex i renamed to labels[i - 1]."""
+    return Graph(
+        vertices=[labels[v - 1] for v in H.vertices],
+        edges=[(labels[a - 1], labels[b - 1]) for a, b in H.edges],
+    )
+
+
+set_labelled_graphs = st.tuples(
+    looped_graphs,
+    st.lists(
+        st.frozensets(st.integers(1, 4), min_size=1, max_size=3),
+        min_size=5,
+        max_size=5,
+        unique=True,
+    ),
+).map(lambda t: relabelled(*t))
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(
+        [complete_graph(1), complete_graph(2), complete_graph(3), looped_edge_graph()]
+    ),
+    st.one_of(looped_graphs, set_labelled_graphs),
+)
+def test_hom_poset_order_is_the_label_order(source, H):
+    elements = list(enumerate_hom(source, H))
+    # hand them over in an order unrelated to the canonical one
+    elements.reverse()
+    P = HomPoset(source.vertices, elements)
+    assert P.elements == canonical_order(elements)[0]
