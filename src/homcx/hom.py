@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 from operator import le
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .canon import canonical_order, label_key, render_label, sorted_labels
 from .graphs import Graph, common_neighborhood, complete_graph
@@ -259,19 +259,14 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
             found.append(Multihom(domain=gverts, images=images))
             return
         u = gverts[idx]
-        pool = None
-        for j in range(idx):
-            if G.has_edge(u, gverts[j]):
-                cn = common_neighborhood(H, images[j])
-                pool = cn if pool is None else pool & cn
-        members = H.vertices if pool is None else [v for v in H.vertices if v in pool]
+        fixed = [images[j] for j in range(idx) if G.has_edge(u, gverts[j])]
+        # cn(A | B) = cn(A) & cn(B): one meet over all fixed images
+        pool = common_neighborhood(H, frozenset().union(*fixed)) if fixed else H.vertices
         looped = G.has_loop(u)
-        for r in range(1, len(members) + 1):
-            for chosen in combinations(members, r):
-                S = frozenset(chosen)
-                if looped and not _reflexive_clique(H, S):
-                    continue
-                extend(idx + 1, images + (S,))
+        for S in _nonempty_subsets(pool):
+            if looped and not _reflexive_clique(H, S):
+                continue
+            extend(idx + 1, images + (S,))
 
     try:
         extend(0, ())
@@ -285,7 +280,8 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
 
 def hom_order_complex(P: HomPoset) -> SimplicialComplex:
     """Order complex of the multihomomorphism poset; vertices are the
-    poset elements themselves."""
+    poset elements themselves.  This is the order-complex route, kept as
+    the tests' oracle: the suites take Hom homology from its cells."""
     return order_complex(P.to_poset())
 
 
@@ -312,10 +308,7 @@ def restriction_map(eta: Multihom) -> Multihom:
 def fiber_maximum(rho: Multihom, H: Graph) -> Multihom:
     """Extend rho by the intersection of the common neighborhoods of its
     images: the unique maximum of the restriction fiber over rho."""
-    meet = None
-    for img in rho.images:
-        cn = common_neighborhood(H, img)
-        meet = cn if meet is None else meet & cn
+    meet = common_neighborhood(H, frozenset().union(*rho.images))
     if not meet:
         raise ValueError(
             "common-neighborhood intersection is empty; the fiber has no maximum"
@@ -381,13 +374,14 @@ def common_neighbor_witness(eta: Multihom, H: Graph) -> WitnessTrace:
     )
 
 
-def _nonempty_subsets(img: frozenset) -> list[frozenset]:
-    members = tuple(img)
-    return [
+def _nonempty_subsets(pool: Iterable) -> Iterator[frozenset]:
+    # lazily: a pool of 31 target vertices has 2**31 nonempty subsets
+    members = tuple(pool)
+    return (
         frozenset(chosen)
         for r in range(1, len(members) + 1)
         for chosen in combinations(members, r)
-    ]
+    )
 
 
 def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> QuillenReport:
@@ -397,6 +391,12 @@ def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> Quille
     and it is the one the common-neighborhood extension predicts.
     (B) for every rho below a restricted eta, the fiber part weakly
     below eta has the expected maximal element.
+
+    Only "no candidate maximum" (the images of rho have no common
+    neighbor) can fail.  The other maximum failures and condition (B) are
+    consistency checks on a complete enumeration: rho extended by its
+    common neighborhood is a multihom above its fiber, and rho with eta's
+    last image is a sub-multihom of eta above the fiber part below eta.
 
     The rho below a restricted eta are generated, not searched for: they
     are exactly the products of nonempty subsets of its images, and each
@@ -426,7 +426,7 @@ def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> Quille
             maximum_failures.append((str(rho), "fiber member above predicted maximum"))
     pair_failures = []
     pairs = 0
-    subsets = cache(_nonempty_subsets)
+    subsets = cache(lambda img: tuple(_nonempty_subsets(img)))
     for eta in P:
         below_eta = []
         for images in product(*map(subsets, eta.images[:-1])):
@@ -465,11 +465,7 @@ def multihom_to_dict(m: Multihom) -> dict:
 
 
 def hom_poset_to_dict(P: HomPoset) -> dict:
-    poset = P.to_poset()
-    index = {m: i for i, m in enumerate(P.elements)}
-    covers = sorted(
-        (index[a], index[b]) for a, b in poset.cover_pairs()
-    )
+    covers = sorted((P.index(a), P.index(b)) for a, b in P.to_poset().cover_pairs())
     return {
         "domain": [render_label(u) for u in P.domain],
         "elements": [multihom_to_dict(m) for m in P.elements],

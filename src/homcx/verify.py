@@ -17,6 +17,7 @@ from .canon import render_label
 from .collapse import (
     StalledCollapse,
     certificate_to_dict,
+    greedy_collapse,
     kl_filtration,
     replay_certificate,
     verify_kl_collapse_sequence,
@@ -37,10 +38,8 @@ from .hom import (
     common_neighbor_witness,
     enumerate_hom,
     hom_homology,
-    hom_order_complex,
 )
 from .homology import HomologyProfile, homology, profiles_equal
-from .collapse import greedy_collapse
 from .nerve import nerve_of_cover, star_cover, verify_nerve_theorem_hypotheses
 from .simplicial import SimplicialComplex, barycentric_subdivision, complex_to_dict
 
@@ -83,8 +82,9 @@ class SuiteResult:
 
 def collapsed_profile(X: SimplicialComplex) -> tuple[HomologyProfile, int, int]:
     """Homology after a greedy collapse, with simplex counts before and
-    after.  Kept only where a report prints those counts; every other
-    profile is the homology of the complex itself."""
+    after.  Kept only for the neighborhood side of thm-1.2, whose report
+    prints those counts; every other profile is the homology of the
+    complex itself or, on the Hom side, of its cells."""
     before = len(X) if X.dim >= 0 else 0
     core, _ = greedy_collapse(X)
     after = len(core) if core.dim >= 0 else 0
@@ -135,10 +135,11 @@ def _suite_thm_1_3(fixtures, n, cap):
         sizes = []
         for m in (n - 1, n):
             P = enumerate_hom(complete_graph(m), G, cap=cap)
-            C = hom_order_complex(P)
-            prof, before, after = collapsed_profile(C)
-            profiles.append(prof)
-            sizes.append({"elements": len(P), "chains": before, "after_collapse": after})
+            profiles.append(hom_homology(P))
+            # a cell eta of Hom(K_m, G) has dimension sum(|eta_i| - 1)
+            dims = [eta.total_size() - m for eta in P]
+            cells = [dims.count(k) for k in range(max(dims, default=-1) + 1)]
+            sizes.append({"elements": len(P), "cells": cells})
         yield name, profiles_equal(profiles[0], profiles[1]), {
             f"hom_k{n - 1}_profile": profiles[0].to_dict(),
             f"hom_k{n}_profile": profiles[1].to_dict(),
@@ -311,6 +312,8 @@ SUITE_NAMES = tuple(_SUITES)
 
 # the suites whose statement is about a source clique K_n of a chosen size
 _CLIQUE_SIZE_SUITES = ("thm-1.3", "prop-4.1", "quillen")
+# the suites that enumerate a Hom poset, which an element cap bounds
+_HOM_SUITES = ("thm-1.1", "thm-1.3", "lemma-hom-nbhd", "prop-4.1", "quillen", "fold")
 
 
 def default_fixtures(theorem: str) -> tuple:
@@ -327,11 +330,14 @@ def run_suite(
         raise ValueError(
             f"unknown suite {theorem!r}; choose from {', '.join(SUITE_NAMES)}"
         )
-    if n is not None and theorem not in _CLIQUE_SIZE_SUITES:
-        raise ValueError(
-            f"suite {theorem!r} takes no source clique size n; "
-            f"only {', '.join(_CLIQUE_SIZE_SUITES)} do"
-        )
+    for option, value, takers in (
+        ("source clique size n", n, _CLIQUE_SIZE_SUITES),
+        ("enumeration cap", cap, _HOM_SUITES),
+    ):
+        if value is not None and theorem not in takers:
+            raise ValueError(
+                f"suite {theorem!r} takes no {option}; only {', '.join(takers)} do"
+            )
     fn, surrogate, defaults = _SUITES[theorem]
     fixtures = defaults if fixtures is None else tuple(fixtures)
     if not fixtures:

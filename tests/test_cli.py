@@ -234,6 +234,39 @@ def test_source_clique_size_on_a_suite_without_one_is_bad_input(capsys, suite):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "prop-collapse", "--fixture", "delta1", "--cap", "-1"],
+        ["verify", "thm-1.2", "--cap", "5"],
+        ["verify", "prop-3.1", "--fixture", "point", "--cap", "0"],
+    ],
+)
+def test_cap_on_a_suite_that_enumerates_nothing_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_ambient_cap_does_not_reach_a_suite_that_enumerates_nothing(capsys, monkeypatch):
+    monkeypatch.setenv("HOMCX_CAP", "5")
+    code, _, _ = run(capsys, ["verify", "thm-1.2", "--fixture", "delta1"])
+    assert code == 0
+
+
+def test_thm_1_3_reaches_boundary_delta3(capsys):
+    code, out, _ = run(
+        capsys, ["verify", "thm-1.3", "--fixture", "boundary_delta3", "--format", "json"]
+    )
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["passed"]
+    artifacts = report["artifacts"]
+    assert artifacts["hom_k2_profile"]["betti"] == [1, 0, 1]
+    assert artifacts["hom_k3_profile"]["betti"] == [1, 0, 1]
+
+
 def test_quillen_reaches_boundary_delta3(capsys):
     code, out, _ = run(
         capsys, ["verify", "quillen", "--fixture", "boundary_delta3", "--format", "json"]

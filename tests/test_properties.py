@@ -1,6 +1,6 @@
 """Fast paths of the canonical order, of greedy collapse, of the
 homology engine and of the Hom fiber checks against their slow
-definitions."""
+definitions, and the paper's constructions against their definitions."""
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -12,8 +12,11 @@ from homcx import (
     Multihom,
     QuillenReport,
     SimplicialComplex,
+    barycentric_subdivision,
     boundary_matrices,
+    build_g_kx,
     check_quillen_conditions,
+    clique_complex,
     complete_graph,
     enumerate_hom,
     fiber_maximum,
@@ -149,6 +152,29 @@ def test_cellular_hom_homology_matches_order_complex(source, H):
     assume(len(P) <= 120)
     core, _ = greedy_collapse(hom_order_complex(P))
     assert profiles_equal(hom_homology(P), homology(core))
+
+
+@settings(deadline=None)
+@given(st.sampled_from([complete_graph(2), complete_graph(3), looped_edge_graph()]), looped_graphs)
+def test_hom_cell_counts_give_the_euler_characteristic(source, H):
+    """The cells of Hom(G, H) are its elements, eta of dimension
+    sum(|eta_i| - 1), and their alternating count is the Euler
+    characteristic of its homology."""
+    P = enumerate_hom(source, H)
+    dims = [eta.total_size() - len(source.vertices) for eta in P]
+    cells = [dims.count(k) for k in range(max(dims, default=-1) + 1)]
+    assert sum(cells) == len(P)
+    betti = hom_homology(P).betti
+    assert sum((-1) ** k * c for k, c in enumerate(cells)) == sum(
+        (-1) ** k * b for k, b in enumerate(betti)
+    )
+
+
+# sd of a 6-simplex has 5,040 facets, and one such example takes ~0.6 s
+@settings(deadline=None, max_examples=20)
+@given(complexes)
+def test_clique_complex_of_containment_graph_is_the_subdivision(X):
+    assert clique_complex(build_g_kx(X, 1)) == barycentric_subdivision(X, 1)
 
 
 def quillen_by_scan(n, H):
