@@ -120,7 +120,7 @@ SUITE_REPORTS = {
     ("thm-1.2", "boundary_delta3"): "264b3a6334f7d08323003409ad8cb29fcb77cb19477d0d384ad5a8a2095b75a9",
     ("thm-1.2", "wedge_triangles"): "3630de258c403f60c8f57ea2de7f93ae145014f064278d331c0ea2c62af2caaa",
     ("thm-1.2", "rp2"): "cd0ca2f1240e4f4aa11ef4c584f5dbd959a7444bcc93258ab1752995ab934441",
-    ("thm-1.3", None): "f8b2336029d895e5e0daf4f916fd75a9820411ff84bd3d042c38e996ef96a0c0",
+    ("thm-1.3", None): "aa0c782caa4ee9b0d110263e2d72cdbffea3b8ebf36031c521ac33659862d9e7",
     ("thm-1.3", "path2,delta2,wedge_triangles,boundary_delta3"): (
         "bf5d1515dbc7362f138d5de23f9e67089a807375372fd7912d50d42d267046ca"
     ),
