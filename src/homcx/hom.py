@@ -250,6 +250,8 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
     """
     cap = resolve_cap(cap)
     gverts = G.vertices
+    # the positions of each source vertex's neighbors that come before it
+    earlier = [[j for j in range(i) if G.has_edge(u, gverts[j])] for i, u in enumerate(gverts)]
     found: list[Multihom] = []
 
     def extend(idx: int, images: tuple):
@@ -258,12 +260,14 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
                 raise CapExceeded(cap=cap, partial_count=len(found))
             found.append(Multihom(domain=gverts, images=images))
             return
-        u = gverts[idx]
-        fixed = [images[j] for j in range(idx) if G.has_edge(u, gverts[j])]
+        fixed = [images[j] for j in earlier[idx]]
         # cn(A | B) = cn(A) & cn(B): one meet over all fixed images
         pool = common_neighborhood(H, frozenset().union(*fixed)) if fixed else H.vertices
-        looped = G.has_loop(u)
-        for S in _nonempty_subsets(pool):
+        if not pool:
+            return
+        looped = G.has_loop(gverts[idx])
+        # in the target's order, multihoms come out nearly sorted for HomPoset
+        for S in _nonempty_subsets(sorted(pool, key=H.rank.__getitem__)):
             if looped and not _reflexive_clique(H, S):
                 continue
             extend(idx + 1, images + (S,))
