@@ -227,11 +227,8 @@ def is_multihom(G: Graph, H: Graph, eta: Multihom | Mapping) -> bool:
             raise ValueError(f"empty image at vertex {u!r}")
         if not img <= hverts:
             raise ValueError(f"image of {u!r} leaves the target graph")
-    pos = {u: i for i, u in enumerate(m.domain)}
     for a, b in G.edges:
-        A = m.images[pos[a]]
-        B = m.images[pos[b]]
-        if any(not H.has_edge(x, y) for x in A for y in B):
+        if any(not H.has_edge(x, y) for x in m.get(a) for y in m.get(b)):
             return False
     return True
 
