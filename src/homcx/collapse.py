@@ -7,8 +7,10 @@ neighborhood complex of the containment graph of X and the union of the
 closed vertex stars, one simplex of X at a time, and the verifier turns
 each stage into an explicit certificate of elementary collapses.
 
-Intermediate complexes are handled as explicit simplex sets, so every
-certificate can be replayed by set arithmetic alone.
+Every certificate can be replayed by set arithmetic alone, from the
+closure of its start complex.  The filtration verifier closes only the
+first complex of the filtration; each stage target is known by its
+facets.
 """
 
 from __future__ import annotations
@@ -226,6 +228,33 @@ def kl_filtration(X: SimplicialComplex) -> Filtration:
     return Filtration(order=order, p=p, q=q, complexes=tuple(complexes), graph=G)
 
 
+def _faces_outside(A: SimplicialComplex, B: SimplicialComplex) -> set:
+    """The simplices of A that lie under no facet of B.
+
+    Only a facet of A that lies under no facet of B can have such faces,
+    so only those facets are expanded.  "Under a facet of B" is tested,
+    as in ``maximal_sets``, against the facets through the face's
+    least-shared vertex.
+    """
+    through: dict[Any, list[frozenset]] = {}
+    for t in B.facets:
+        for v in t:
+            through.setdefault(v, []).append(t)
+
+    def covered(s: frozenset) -> bool:
+        return any(s <= t for t in min((through.get(v, ()) for v in s), key=len))
+
+    outside: set = set()
+    for f in A.facets:
+        if covered(f):
+            continue
+        for r in range(1, len(f) + 1):
+            outside.update(
+                s for s in map(frozenset, combinations(f, r)) if not covered(s)
+            )
+    return outside
+
+
 def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
     """Collapse each K_l onto K_{l+1} by removing the simplices through
     sigma_l, and certify every stage.
@@ -237,24 +266,35 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
     does not stop the scan from eating into the target complex, which
     also has pairs of this shape.  Raises StalledCollapse, carrying the
     stuck complex, if a stage cannot reach its target.
+
+    Only K_1 is closed into a simplex set; that set is carried from
+    stage to stage.  Each target K_{l+1} is known by its facets: since
+    the set equals K_l when stage l starts, what lies outside K_{l+1} is
+    exactly the faces of K_l's facets under no facet of K_{l+1}, which on
+    a genuine filtration are faces of N(sigma_l) alone.
     """
     V = F.graph.vertices
     key = simplex_key(F.graph.rank)
+    S = set(F.complexes[0].simplex_set())
     stages: list[tuple] = []
     for l in range(1, F.p - F.q + 1):
         sig = F.order[l - 1]
-        S = set(F.complexes[l - 1].simplex_set())
-        target = set(F.complexes[l].simplex_set())
+        target = F.complexes[l]
+        # S is K_l here, so this is S minus K_{l+1}
+        outside = _faces_outside(F.complexes[l - 1], target)
         steps: list[CollapseStep] = []
+
+        def stall(message: str) -> StalledCollapse:
+            return StalledCollapse(
+                f"stage {l}: {message}",
+                stage=l,
+                stuck=SimplicialComplex.from_simplices(frozenset(S)),
+            )
 
         def apply(sigma: frozenset, tau: frozenset):
             removed = _interval(tau, sigma, key)
-            if not target.isdisjoint(removed):
-                raise StalledCollapse(
-                    f"stage {l}: a collapse would remove part of the next complex",
-                    stage=l,
-                    stuck=SimplicialComplex.from_simplices(frozenset(S)),
-                )
+            if not outside.issuperset(removed):
+                raise stall("a collapse would remove part of the next complex")
             S.difference_update(removed)
             steps.append(
                 CollapseStep(pair=CollapsiblePair(sigma=sigma, tau=tau), removed=removed)
@@ -263,14 +303,11 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
         first_sigma = frozenset(F.graph.neighbors(sig))
         first_tau = first_sigma - {sig}
         if not first_tau or _free_facet(S, first_tau, V) != first_sigma:
-            raise StalledCollapse(
-                f"stage {l}: the neighborhood of {render_label(sig)} has no free "
-                "reduced face",
-                stage=l,
-                stuck=SimplicialComplex.from_simplices(frozenset(S)),
+            raise stall(
+                f"the neighborhood of {render_label(sig)} has no free reduced face"
             )
         apply(first_sigma, first_tau)
-        candidates = sorted((s for s in S if sig in s and s not in target), key=key)
+        candidates = sorted((s for s in outside if sig in s and s in S), key=key)
         progressed = True
         while progressed:
             progressed = False
@@ -278,18 +315,16 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
                 if sigma not in S:
                     continue
                 tau = sigma - {sig}
-                if not tau or tau in target:
+                if not tau or tau not in outside:
                     continue
                 if _free_facet(S, tau, V) == sigma:
                     apply(sigma, tau)
                     progressed = True
                     break
-        if S != target:
-            raise StalledCollapse(
-                f"stage {l}: collapse stalled before reaching the next complex",
-                stage=l,
-                stuck=SimplicialComplex.from_simplices(frozenset(S)),
-            )
+        # nothing under a facet of K_{l+1} was removed, so S equals K_{l+1}
+        # exactly when it holds those facets and nothing outside them
+        if not target.facets <= S or not S.isdisjoint(outside):
+            raise stall("collapse stalled before reaching the next complex")
         stages.append(tuple(steps))
     return CollapseCertificate(
         start=F.complexes[0], end=F.complexes[-1], stages=tuple(stages)

@@ -155,22 +155,27 @@ def clique_complex(G: Graph) -> SimplicialComplex:
 
 
 def _maximal_cliques(G: Graph):
-    """Bron-Kerbosch without pivoting, loop edges stripped."""
+    """Bron-Kerbosch with Tomita pivoting, loop edges stripped.
+
+    Each call picks the pivot u among candidates and excluded vertices
+    with the most neighbours among the candidates, and branches only on
+    the candidates outside N(u): a clique of u's neighbours alone could
+    still take u, so it is not maximal.
+    """
     adj = {v: G.neighbors(v) - {v} for v in G.vertices}
 
-    def expand(clique: list, candidates: list, excluded: list):
-        if not candidates and not excluded:
-            yield tuple(clique)
+    def expand(clique: list, candidates: set, excluded: set):
+        if not candidates:
+            if not excluded:
+                yield tuple(clique)
             return
-        for i, v in enumerate(candidates):
-            yield from expand(
-                clique + [v],
-                [u for u in candidates[i + 1 :] if u in adj[v]],
-                [u for u in excluded if u in adj[v]],
-            )
-            excluded = excluded + [v]
+        pivot = max(candidates | excluded, key=lambda u: len(candidates & adj[u]))
+        for v in [v for v in candidates if v not in adj[pivot]]:
+            yield from expand(clique + [v], candidates & adj[v], excluded & adj[v])
+            candidates.remove(v)
+            excluded.add(v)
 
-    yield from expand([], list(G.vertices), [])
+    yield from expand([], set(G.vertices), set())
 
 
 def find_fold(G: Graph) -> FoldStep | None:

@@ -146,7 +146,7 @@ def test_kl_stage_one_removal_on_triangle_boundary():
 
 def test_kl_collapse_verifies_and_replays_on_fixtures():
     for name in ("delta1", "path2", "boundary_delta2", "delta2",
-                 "boundary_delta3", "wedge_triangles"):
+                 "boundary_delta3", "wedge_triangles", "rp2"):
         F = kl_filtration(core_fixture(name))
         cert = verify_kl_collapse_sequence(F)
         assert len(cert.stages) == F.p - F.q
@@ -155,6 +155,13 @@ def test_kl_collapse_verifies_and_replays_on_fixtures():
         for i in range(len(cert.stages)):
             diff = set(F.complexes[i].simplex_set()) - set(F.complexes[i + 1].simplex_set())
             assert set(cert.removed_in_stage(i)) == diff, (name, i)
+
+
+def test_kl_collapse_closes_only_the_start_complex():
+    F = kl_filtration(core_fixture("rp2"))
+    verify_kl_collapse_sequence(F)
+    assert F.complexes[0]._simplex_set is not None
+    assert all(K._simplex_set is None for K in F.complexes[1:-1])
 
 
 def test_kl_collapse_on_projective_plane():

@@ -6,15 +6,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from homcx import (
+    Filtration,
     Graph,
     HomologyProfile,
     HomPoset,
     Multihom,
     QuillenReport,
     SimplicialComplex,
+    StalledCollapse,
     barycentric_subdivision,
     boundary_matrices,
     build_g_kx,
+    certificate_to_dict,
     check_quillen_conditions,
     clique_complex,
     complete_graph,
@@ -25,14 +28,25 @@ from homcx import (
     hom_homology,
     hom_order_complex,
     homology,
+    kl_filtration,
     label_key,
     looped_edge_graph,
     profiles_equal,
+    render_label,
     replay_certificate,
     smith_normal_form,
     sparse_smith_normal_form,
+    verify_kl_collapse_sequence,
 )
 from homcx.canon import canonical_order, simplex_key
+from homcx.collapse import (
+    CollapseCertificate,
+    CollapsiblePair,
+    CollapseStep,
+    _free_facet,
+    _interval,
+)
+from homcx.graphs import _maximal_cliques
 from homcx.simplicial import maximal_sets
 
 # Labels of every kind the package builds: ints, simplices (frozensets) and
@@ -170,11 +184,142 @@ def test_hom_cell_counts_give_the_euler_characteristic(source, H):
     )
 
 
-# sd of a 6-simplex has 5,040 facets, and one such example takes ~0.6 s
-@settings(deadline=None, max_examples=20)
+# sd of a 6-simplex has 5,040 facets, and one such example takes ~0.25 s
+@settings(deadline=None, max_examples=50)
 @given(complexes)
 def test_clique_complex_of_containment_graph_is_the_subdivision(X):
     assert clique_complex(build_g_kx(X, 1)) == barycentric_subdivision(X, 1)
+
+
+def maximal_cliques_unpivoted(G):
+    """Bron-Kerbosch without pivoting, loop edges stripped."""
+    adj = {v: G.neighbors(v) - {v} for v in G.vertices}
+
+    def expand(clique: list, candidates: list, excluded: list):
+        if not candidates and not excluded:
+            yield tuple(clique)
+            return
+        for i, v in enumerate(candidates):
+            yield from expand(
+                clique + [v],
+                [u for u in candidates[i + 1 :] if u in adj[v]],
+                [u for u in excluded if u in adj[v]],
+            )
+            excluded = excluded + [v]
+
+    yield from expand([], list(G.vertices), [])
+
+
+graphs = st.integers(1, 10).flatmap(
+    lambda n: st.sets(
+        st.tuples(st.integers(1, n), st.integers(1, n)).map(lambda e: tuple(sorted(e)))
+    ).map(lambda edges: Graph(vertices=range(1, n + 1), edges=edges))
+)
+
+
+@settings(deadline=None)
+@given(graphs)
+def test_pivoted_cliques_are_the_unpivoted_cliques(G):
+    pivoted = [frozenset(c) for c in _maximal_cliques(G)]
+    assert len(pivoted) == len(set(pivoted))
+    assert set(pivoted) == {frozenset(c) for c in maximal_cliques_unpivoted(G)}
+
+
+def kl_sequence_by_closure(F):
+    """The filtration collapse checked against the closure of every
+    stage target, each stage starting from the closure of K_l."""
+    V = F.graph.vertices
+    key = simplex_key(F.graph.rank)
+    stages: list[tuple] = []
+    for l in range(1, F.p - F.q + 1):
+        sig = F.order[l - 1]
+        S = set(F.complexes[l - 1].simplex_set())
+        target = set(F.complexes[l].simplex_set())
+        steps: list[CollapseStep] = []
+
+        def apply(sigma: frozenset, tau: frozenset):
+            removed = _interval(tau, sigma, key)
+            if not target.isdisjoint(removed):
+                raise StalledCollapse(
+                    f"stage {l}: a collapse would remove part of the next complex",
+                    stage=l,
+                    stuck=SimplicialComplex.from_simplices(frozenset(S)),
+                )
+            S.difference_update(removed)
+            steps.append(
+                CollapseStep(pair=CollapsiblePair(sigma=sigma, tau=tau), removed=removed)
+            )
+
+        first_sigma = frozenset(F.graph.neighbors(sig))
+        first_tau = first_sigma - {sig}
+        if not first_tau or _free_facet(S, first_tau, V) != first_sigma:
+            raise StalledCollapse(
+                f"stage {l}: the neighborhood of {render_label(sig)} has no free "
+                "reduced face",
+                stage=l,
+                stuck=SimplicialComplex.from_simplices(frozenset(S)),
+            )
+        apply(first_sigma, first_tau)
+        candidates = sorted((s for s in S if sig in s and s not in target), key=key)
+        progressed = True
+        while progressed:
+            progressed = False
+            for sigma in candidates:
+                if sigma not in S:
+                    continue
+                tau = sigma - {sig}
+                if not tau or tau in target:
+                    continue
+                if _free_facet(S, tau, V) == sigma:
+                    apply(sigma, tau)
+                    progressed = True
+                    break
+        if S != target:
+            raise StalledCollapse(
+                f"stage {l}: collapse stalled before reaching the next complex",
+                stage=l,
+                stuck=SimplicialComplex.from_simplices(frozenset(S)),
+            )
+        stages.append(tuple(steps))
+    return CollapseCertificate(
+        start=F.complexes[0], end=F.complexes[-1], stages=tuple(stages)
+    )
+
+
+def kl_outcome(verify, F):
+    """The rendered certificate, or where and how the collapse stalled."""
+    try:
+        return certificate_to_dict(verify(F))
+    except StalledCollapse as exc:
+        return exc.stage, str(exc), exc.stuck
+
+
+@settings(deadline=None)
+@given(complexes, st.data())
+def test_kl_collapse_by_facets_matches_the_closures(X, data):
+    assume(X.dim >= 1)
+    # the closure route closes every stage, each generated by neighborhoods
+    # of the containment graph; one of k vertices has 2^k faces
+    G = build_g_kx(X, 1)
+    assume(sum(2 ** len(G.neighbors(s)) for s in G.vertices) <= 2 ** 14)
+    F = kl_filtration(X)
+    assert kl_outcome(verify_kl_collapse_sequence, F) == kl_outcome(kl_sequence_by_closure, F)
+    Ks = F.complexes
+    j = data.draw(st.integers(0, len(Ks) - 2))
+    # K_{j+2} with a facet on a vertex no complex of the filtration has
+    grown = SimplicialComplex(Ks[j + 1].facets | {frozenset([frozenset([0])])})
+    tampered = [
+        (Ks[0],) + Ks,  # every target one stage late
+        Ks[: j + 1] + Ks[j:],  # K_{j+1} twice
+        Ks[: j + 1] + (grown,) + Ks[j + 2 :],
+    ]
+    if len(Ks) >= 3:
+        tampered.append(Ks[:j] + Ks[j + 1 :])  # K_{j+1} left out
+    for Ks_fake in tampered:
+        fake = Filtration(order=F.order, p=F.p, q=F.q, complexes=Ks_fake, graph=F.graph)
+        by_closure = kl_outcome(kl_sequence_by_closure, fake)
+        assert isinstance(by_closure, tuple)
+        assert kl_outcome(verify_kl_collapse_sequence, fake) == by_closure
 
 
 def quillen_by_scan(n, H):
