@@ -1,11 +1,15 @@
 """Fast paths of the canonical order, of greedy collapse, of the
-homology engine and of the Hom fiber checks against their slow
-definitions, and the paper's constructions against their definitions."""
+filtration collapse verifier, of clique search, of the homology engine
+and of the Hom fiber checks against their slow definitions, and the
+paper's constructions against their definitions."""
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from homcx import (
+    CollapseCertificate,
+    CollapseStep,
+    CollapsiblePair,
     Filtration,
     Graph,
     HomologyProfile,
@@ -39,13 +43,7 @@ from homcx import (
     verify_kl_collapse_sequence,
 )
 from homcx.canon import canonical_order, simplex_key
-from homcx.collapse import (
-    CollapseCertificate,
-    CollapsiblePair,
-    CollapseStep,
-    _free_facet,
-    _interval,
-)
+from homcx.collapse import _free_facet, _interval
 from homcx.graphs import _maximal_cliques
 from homcx.simplicial import maximal_sets
 
