@@ -17,12 +17,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Any, Iterable
 
 from .canon import render_label, simplex_key
 from .graphs import Graph, build_g_kx
-from .simplicial import SimplicialComplex, complex_to_dict, render_simplex
+from .simplicial import (
+    SimplicialComplex,
+    cofacets,
+    complex_to_dict,
+    faces,
+    render_simplex,
+)
 
 __all__ = [
     "CollapsiblePair",
@@ -97,12 +102,8 @@ class Filtration:
 
 def _interval(tau: frozenset, sigma: frozenset, key) -> tuple:
     """The faces between tau and sigma, sorted by the simplex key ``key``."""
-    ext = sigma - tau
-    faces = []
-    for r in range(len(ext) + 1):
-        for extra in combinations(ext, r):
-            faces.append(tau | frozenset(extra))
-    return tuple(sorted(faces, key=key))
+    between = [tau] + [tau | extra for extra in faces(sigma - tau)]
+    return tuple(sorted(between, key=key))
 
 
 def _free_facet(S: set | frozenset, tau: frozenset, vertices: Iterable[Any]):
@@ -112,10 +113,8 @@ def _free_facet(S: set | frozenset, tau: frozenset, vertices: Iterable[Any]):
     of one-vertex extensions of tau inside S assembles to a single
     simplex of S; that simplex is then the facet.
     """
-    ext = [v for v in vertices if v not in tau and (tau | {v}) in S]
-    if not ext:
-        return None
-    sigma = tau | frozenset(ext)
+    sigma = frozenset().union(*cofacets(S, tau, vertices))
+    # with no cofacet sigma is empty, and no simplex is
     return sigma if sigma in S else None
 
 
@@ -232,27 +231,11 @@ def _faces_outside(A: SimplicialComplex, B: SimplicialComplex) -> set:
     """The simplices of A that lie under no facet of B.
 
     Only a facet of A that lies under no facet of B can have such faces,
-    so only those facets are expanded.  "Under a facet of B" is tested,
-    as in ``maximal_sets``, against the facets through the face's
-    least-shared vertex.
+    so only those facets are expanded.
     """
-    through: dict[Any, list[frozenset]] = {}
-    for t in B.facets:
-        for v in t:
-            through.setdefault(v, []).append(t)
-
-    def covered(s: frozenset) -> bool:
-        return any(s <= t for t in min((through.get(v, ()) for v in s), key=len))
-
-    outside: set = set()
-    for f in A.facets:
-        if covered(f):
-            continue
-        for r in range(1, len(f) + 1):
-            outside.update(
-                s for s in map(frozenset, combinations(f, r)) if not covered(s)
-            )
-    return outside
+    return {
+        s for f in A.facets if not B.covers(f) for s in faces(f) if not B.covers(s)
+    }
 
 
 def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:

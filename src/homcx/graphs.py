@@ -160,22 +160,24 @@ def _maximal_cliques(G: Graph):
     Each call picks the pivot u among candidates and excluded vertices
     with the most neighbours among the candidates, and branches only on
     the candidates outside N(u): a clique of u's neighbours alone could
-    still take u, so it is not maximal.
+    still take u, so it is not maximal.  Calls wait on a stack, not in
+    recursion; each opens all its branches at once, in recursive order.
     """
     adj = {v: G.neighbors(v) - {v} for v in G.vertices}
-
-    def expand(clique: list, candidates: set, excluded: set):
+    stack = [([], set(G.vertices), set())]
+    while stack:
+        clique, candidates, excluded = stack.pop()
         if not candidates:
             if not excluded:
                 yield tuple(clique)
-            return
+            continue
         pivot = max(candidates | excluded, key=lambda u: len(candidates & adj[u]))
+        branches = []
         for v in [v for v in candidates if v not in adj[pivot]]:
-            yield from expand(clique + [v], candidates & adj[v], excluded & adj[v])
+            branches.append((clique + [v], candidates & adj[v], excluded & adj[v]))
             candidates.remove(v)
             excluded.add(v)
-
-    yield from expand([], set(G.vertices), set())
+        stack.extend(reversed(branches))
 
 
 def find_fold(G: Graph) -> FoldStep | None:

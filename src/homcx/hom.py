@@ -17,14 +17,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import product
 from operator import le
 from typing import Any, Iterable, Iterator, Mapping
 
 from .canon import canonical_order, label_key, render_label, sorted_labels
 from .graphs import Graph, common_neighborhood, complete_graph
 from .homology import HomologyProfile, chain_complex, chain_homology
-from .simplicial import Poset, SimplicialComplex, order_complex
+from .simplicial import Poset, SimplicialComplex, faces, order_complex
 
 __all__ = [
     "DEFAULT_CAP",
@@ -233,49 +233,46 @@ def is_multihom(G: Graph, H: Graph, eta: Multihom | Mapping) -> bool:
     return True
 
 
-def _reflexive_clique(H: Graph, S: frozenset) -> bool:
-    return all(y in H.neighbors(x) for x in S for y in S)
-
-
 def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
     """Every multihomomorphism G -> H, by depth-first extension.
 
     Source vertices are processed in canonical order; the image of the
     next vertex ranges over nonempty subsets of the common neighborhood
-    of the images already assigned to its neighbors.  Raises CapExceeded
-    once more than ``cap`` elements have been found.
+    of the images already assigned to its neighbors.  Extensions wait on a
+    stack, not in recursion.  Raises CapExceeded once more than ``cap``
+    elements have been found.
     """
     cap = resolve_cap(cap)
     gverts = G.vertices
     # the positions of each source vertex's neighbors that come before it
     earlier = [[j for j in range(i) if G.has_edge(u, gverts[j])] for i, u in enumerate(gverts)]
     found: list[Multihom] = []
-
-    def extend(idx: int, images: tuple):
-        if idx == len(gverts):
-            if len(found) >= cap:
-                raise CapExceeded(cap=cap, partial_count=len(found))
-            found.append(Multihom(domain=gverts, images=images))
-            return
-        fixed = [images[j] for j in earlier[idx]]
-        # cn(A | B) = cn(A) & cn(B): one meet over all fixed images
-        pool = common_neighborhood(H, frozenset().union(*fixed)) if fixed else H.vertices
-        if not pool:
-            return
-        looped = G.has_loop(gverts[idx])
-        # in the target's order, multihoms come out nearly sorted for HomPoset
-        for S in _nonempty_subsets(sorted(pool, key=H.rank.__getitem__)):
-            if looped and not _reflexive_clique(H, S):
+    stack: list[Iterator[tuple]] = [iter([()])]
+    while stack:
+        # siblings come from one iterator; a node with children pushes
+        # theirs and breaks, and the loop resumes it when they run out
+        for images in stack[-1]:
+            idx = len(images)
+            if idx == len(gverts):
+                if len(found) >= cap:
+                    raise CapExceeded(cap=cap, partial_count=len(found))
+                found.append(Multihom(domain=gverts, images=images))
                 continue
-            extend(idx + 1, images + (S,))
-
-    try:
-        extend(0, ())
-    finally:
-        # extend refers to itself through its closure; dropping the name
-        # breaks that cycle, so ``found`` is freed without waiting for the
-        # cyclic garbage collector
-        del extend
+            fixed = [images[j] for j in earlier[idx]]
+            # cn(A | B) = cn(A) & cn(B): one meet over all fixed images
+            pool = common_neighborhood(H, frozenset().union(*fixed)) if fixed else H.vertices
+            if not pool:
+                continue
+            # in the target's order, multihoms come out nearly sorted for HomPoset
+            subsets = faces(sorted(pool, key=H.rank.__getitem__))
+            if G.has_loop(gverts[idx]):
+                # a looped vertex needs a reflexive clique: S within cn(S)
+                subsets = (S for S in subsets if S <= common_neighborhood(H, S))
+            # zip makes each S the one-tuple (S,) that extends images
+            stack.append(map(images.__add__, zip(subsets)))
+            break
+        else:
+            stack.pop()
     return HomPoset(domain=gverts, elements=found)
 
 
@@ -375,16 +372,6 @@ def common_neighbor_witness(eta: Multihom, H: Graph) -> WitnessTrace:
     )
 
 
-def _nonempty_subsets(pool: Iterable) -> Iterator[frozenset]:
-    # lazily: a pool of 31 target vertices has 2**31 nonempty subsets
-    members = tuple(pool)
-    return (
-        frozenset(chosen)
-        for r in range(1, len(members) + 1)
-        for chosen in combinations(members, r)
-    )
-
-
 def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> QuillenReport:
     """Fiber checks for the restriction from complete sources.
 
@@ -427,7 +414,7 @@ def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> Quille
             maximum_failures.append((str(rho), "fiber member above predicted maximum"))
     pair_failures = []
     pairs = 0
-    subsets = cache(lambda img: tuple(_nonempty_subsets(img)))
+    subsets = cache(lambda img: tuple(faces(img)))
     for eta in P:
         below_eta = []
         for images in product(*map(subsets, eta.images[:-1])):

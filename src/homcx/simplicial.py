@@ -10,8 +10,8 @@ is dimension ascending, then lexicographic on the sorted vertex ranks
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
-from typing import Any, Iterable, Iterator
+from itertools import chain, combinations
+from typing import Any, Callable, Iterable, Iterator
 
 from .canon import canonical_order, render_label, simplex_key
 
@@ -24,6 +24,8 @@ __all__ = [
     "barycentric_subdivision",
     "euler_characteristic",
     "maximal_sets",
+    "faces",
+    "cofacets",
     "complex_to_dict",
     "render_simplex",
     "complex_from_dict",
@@ -32,23 +34,51 @@ __all__ = [
 ]
 
 
+def faces(s: Iterable) -> Iterator[frozenset]:
+    """The nonempty subsets of s, lazily, smallest first, in the iteration
+    order of s (a 31-vertex simplex has 2**31 - 1 faces)."""
+    members = tuple(s)
+    sizes = range(1, len(members) + 1)
+    return chain.from_iterable(map(frozenset, combinations(members, r)) for r in sizes)
+
+
+def cofacets(S: set | frozenset, s: frozenset, vertices: Iterable[Any]) -> list[frozenset]:
+    """The members of S that add one vertex to s, in the order of ``vertices``."""
+    return [s | {v} for v in vertices if v not in s and s | {v} in S]
+
+
+class _CoverIndex:
+    """Sets indexed by vertex, to test whether s lies under one of them.  A
+    set containing s contains each vertex of s, so s is tested only against
+    the sets through its least-shared vertex; the empty set is under all."""
+
+    def __init__(self, sets: Iterable[frozenset] = ()):
+        self.sets: list[frozenset] = []
+        self._through: dict[Any, list[frozenset]] = {}
+        for t in sets:
+            self.add(t)
+
+    def add(self, t: frozenset) -> None:
+        self.sets.append(t)
+        for v in t:
+            self._through.setdefault(v, []).append(t)
+
+    def covers(self, s: frozenset) -> bool:
+        rivals = min((self._through.get(v, ()) for v in s), key=len, default=self.sets)
+        return any(s <= t for t in rivals)
+
+
 def maximal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
     """Inclusion-maximal members of a family of frozensets.
 
-    Sets are taken largest first.  A kept set containing s contains each
-    vertex of s, so s is tested only against the kept sets through its
-    least-shared vertex.
+    Sets are taken largest first, and each is kept unless a kept set
+    covers it.
     """
-    kept: list[frozenset] = []
-    through: dict[Any, list[frozenset]] = {}
+    kept = _CoverIndex()
     for s in sorted(set(sets), key=len, reverse=True):
-        rivals = min((through.get(v, ()) for v in s), key=len, default=kept)
-        if any(s < t for t in rivals):
-            continue
-        kept.append(s)
-        for v in s:
-            through.setdefault(v, []).append(s)
-    return kept
+        if not kept.covers(s):
+            kept.add(s)
+    return kept.sets
 
 
 class SimplicialComplex:
@@ -112,12 +142,17 @@ class SimplicialComplex:
             return -1
         return max(len(f) for f in self._facets) - 1
 
+    @cached_property
+    def covers(self) -> Callable[[frozenset], bool]:
+        """Whether a set lies under a facet; for a nonempty set, whether it
+        is a simplex.  The facet index is built on the first call."""
+        return _CoverIndex(self._facets).covers
+
     def simplex_set(self) -> frozenset:
         if self._simplex_set is None:
             closure = set()
             for f in self._facets:
-                for r in range(1, len(f) + 1):
-                    closure.update(map(frozenset, combinations(f, r)))
+                closure.update(faces(f))
             self._simplex_set = frozenset(closure)
         return self._simplex_set
 
@@ -135,11 +170,7 @@ class SimplicialComplex:
 
     def __contains__(self, simplex: Iterable[Any]) -> bool:
         fs = frozenset(simplex)
-        if not fs:
-            return False
-        if self._simplex_set is not None:
-            return fs in self._simplex_set
-        return any(fs <= f for f in self._facets)
+        return bool(fs) and self.covers(fs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -230,16 +261,11 @@ def face_poset(X: SimplicialComplex) -> Poset:
     downward-closed family are all the covers there are.
     """
     simplex_set = X.simplex_set()
-    vertices = X.vertices
     key = simplex_key(X.rank)
-    covers: dict[frozenset, tuple] = {}
-    for s in X.simplices():
-        ups = [
-            s | {v}
-            for v in vertices
-            if v not in s and (s | {v}) in simplex_set
-        ]
-        covers[s] = tuple(sorted(ups, key=key))
+    covers = {
+        s: tuple(sorted(cofacets(simplex_set, s, X.vertices), key=key))
+        for s in X.simplices()
+    }
     return Poset(X.simplices(), covers)
 
 

@@ -103,6 +103,17 @@ def test_hom_command_matches_known_count(capsys, tmp_path, edge_file):
     assert len(data["elements"]) == 21
 
 
+def test_hom_command_takes_a_source_past_the_recursion_limit(capsys, tmp_path):
+    """Enumeration keeps no stack frame per source vertex."""
+    source = tmp_path / "edgeless.json"
+    source.write_text(json.dumps({"vertices": [f"v{i}" for i in range(1500)], "edges": []}))
+    target = tmp_path / "looped_point.json"
+    target.write_text(json.dumps({"vertices": ["p"], "edges": [["p", "p"]]}))
+    code, out, _ = run(capsys, ["hom", "--g", str(source), str(target)])
+    assert code == 0
+    assert len(json.loads(out)["elements"]) == 1
+
+
 def test_hom_command_cap_exit_code(capsys, tmp_path, circle_file):
     run(capsys, ["g1x", circle_file, "-o", str(tmp_path / "g.json")])
     code, _, err = run(capsys, ["hom", "--g", "K2", "--cap", "5", str(tmp_path / "g.json")])

@@ -1,6 +1,8 @@
 """Reflexive containment graphs, folds, and the derived complexes."""
 
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -163,6 +165,17 @@ def test_clique_complex_ignores_loops():
     G = Graph(vertices=["a", "b"], edges=[("a", "a"), ("a", "b")])
     C = clique_complex(G)
     assert C.facets == frozenset([frozenset(["a", "b"])])
+
+
+def test_clique_search_keeps_no_frame_per_clique_vertex():
+    K = complete_graph(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        C = clique_complex(K)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert C.facets == frozenset([frozenset(range(1, 301))])
 
 
 def test_fold_of_looped_edge():

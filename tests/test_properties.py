@@ -25,12 +25,18 @@ from homcx import (
     check_quillen_conditions,
     clique_complex,
     complete_graph,
+    complex_from_dict,
+    complex_to_dict,
     enumerate_hom,
+    euler_characteristic,
     fiber_maximum,
     free_face_pairs,
+    graph_from_dict,
+    graph_to_dict,
     greedy_collapse,
     hom_homology,
     hom_order_complex,
+    hom_poset_to_dict,
     homology,
     kl_filtration,
     label_key,
@@ -45,7 +51,7 @@ from homcx import (
 from homcx.canon import canonical_order, simplex_key
 from homcx.collapse import _free_facet, _interval
 from homcx.graphs import _maximal_cliques
-from homcx.simplicial import maximal_sets
+from homcx.simplicial import _CoverIndex, cofacets, faces, maximal_sets
 
 # Labels of every kind the package builds: ints, simplices (frozensets) and
 # multihomomorphisms over one domain.  label_key separates all of them.
@@ -104,6 +110,48 @@ def test_greedy_collapse_is_a_replayable_homotopy_equivalence(X):
     assert free_face_pairs(core) == []
     assert profiles_equal(homology(core), homology(X))
     assert len(core) + 2 * len(cert.steps) == len(X)
+
+
+@settings(deadline=None)
+@given(complexes, st.frozensets(st.integers(0, 9), min_size=1, max_size=5))
+def test_covers_is_membership_in_the_closure(X, s):
+    """Vertices 0, 8 and 9 lie outside every complex drawn."""
+    assert X.covers(s) == (s in X.simplex_set())
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(1, 8), min_size=1, max_size=5), max_size=12),
+    st.frozensets(st.integers(0, 9), max_size=5),
+)
+def test_cover_index_is_the_subset_scan(family, s):
+    index = _CoverIndex(family)
+    assert index.covers(s) == any(s <= t for t in family)
+    assert index.covers(frozenset()) == bool(family)
+
+
+@settings(deadline=None)
+@given(complexes, st.data())
+def test_cofacets_and_faces_are_the_scans(X, data):
+    S = X.simplex_set()
+    s = data.draw(st.sampled_from(X.simplices()))
+    vertices = X.vertices + (0, 8)
+    assert cofacets(S, s, vertices) == sorted(
+        (t for t in S if s < t and len(t) == len(s) + 1),
+        key=lambda t: vertices.index(min(t - s)),
+    )
+    listed = list(faces(s))
+    assert [len(f) for f in listed] == sorted(len(f) for f in listed)
+    assert len(listed) == 2 ** len(s) - 1
+    assert set(listed) == {t for t in S if t <= s}
+
+
+@settings(deadline=None)
+@given(complexes)
+def test_euler_characteristic_is_the_alternating_betti_sum(X):
+    assert euler_characteristic(X) == sum(
+        (-1) ** k * b for k, b in enumerate(homology(X).betti)
+    )
 
 
 @settings(deadline=None)
@@ -408,3 +456,23 @@ def test_hom_poset_order_is_the_label_order(source, H):
     elements.reverse()
     P = HomPoset(source.vertices, elements)
     assert P.elements == canonical_order(elements)[0]
+
+
+@settings(deadline=None)
+@given(complexes, looped_graphs)
+def test_json_forms_come_back_unchanged(X, H):
+    data = complex_to_dict(X)
+    assert complex_to_dict(complex_from_dict(data)) == data
+    data = graph_to_dict(H)
+    assert graph_to_dict(graph_from_dict(data)) == data
+
+
+@settings(deadline=None)
+@given(st.one_of(looped_graphs, set_labelled_graphs))
+def test_hom_poset_json_survives_reloading_its_target(H):
+    loaded = graph_from_dict(graph_to_dict(H))
+    reloaded = graph_from_dict(graph_to_dict(loaded))
+    K2 = complete_graph(2)
+    assert hom_poset_to_dict(enumerate_hom(K2, reloaded)) == hom_poset_to_dict(
+        enumerate_hom(K2, loaded)
+    )
