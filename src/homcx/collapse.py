@@ -218,8 +218,6 @@ def kl_filtration(X: SimplicialComplex) -> Filtration:
     q = sum(1 for s in order if len(s) == 1)
     if p == q:
         raise ValueError("filtration undefined: no positive-dimensional simplex")
-    if any(len(s) != 1 for s in order[p - q :]):
-        raise AssertionError("vertex tail out of place in filtration order")
     complexes = []
     for l in range(1, p - q + 2):
         gens = [G.neighbors(order[i]) for i in range(l - 1, p)]

@@ -150,8 +150,7 @@ def neighborhood_complex(G: Graph) -> SimplicialComplex:
 def clique_complex(G: Graph) -> SimplicialComplex:
     """Flag complex of G.  Loops are ignored for the pair condition, so
     every vertex appears as a 0-simplex even if isolated."""
-    facets = [frozenset(c) for c in _maximal_cliques(G)]
-    return SimplicialComplex(facets) if facets else SimplicialComplex([])
+    return SimplicialComplex([frozenset(c) for c in _maximal_cliques(G)])
 
 
 def _maximal_cliques(G: Graph):
@@ -168,7 +167,8 @@ def _maximal_cliques(G: Graph):
     while stack:
         clique, candidates, excluded = stack.pop()
         if not candidates:
-            if not excluded:
+            # the empty graph has no clique, not the empty one
+            if clique and not excluded:
                 yield tuple(clique)
             continue
         pivot = max(candidates | excluded, key=lambda u: len(candidates & adj[u]))

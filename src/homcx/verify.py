@@ -47,7 +47,6 @@ __all__ = [
     "VerificationReport",
     "SuiteResult",
     "SUITE_NAMES",
-    "default_fixtures",
     "run_suite",
     "suite_to_dict",
     "suite_to_text",
@@ -314,10 +313,6 @@ SUITE_NAMES = tuple(_SUITES)
 _CLIQUE_SIZE_SUITES = ("thm-1.3", "prop-4.1", "quillen")
 # the suites that enumerate a Hom poset, which an element cap bounds
 _HOM_SUITES = ("thm-1.1", "thm-1.3", "lemma-hom-nbhd", "prop-4.1", "quillen", "fold")
-
-
-def default_fixtures(theorem: str) -> tuple:
-    return _SUITES[theorem][2]
 
 
 def run_suite(

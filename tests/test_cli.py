@@ -94,6 +94,15 @@ def test_nbhd_and_clique_commands(capsys, tmp_path, circle_file):
     assert len(json.loads(out)["facets"]) == 6
 
 
+@pytest.mark.parametrize("command", ["nbhd", "clique"])
+def test_complexes_of_the_empty_graph_are_empty(capsys, tmp_path, command):
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"vertices": [], "edges": []}))
+    code, out, _ = run(capsys, [command, str(p)])
+    assert code == 0
+    assert json.loads(out) == {"facets": []}
+
+
 def test_hom_command_matches_known_count(capsys, tmp_path, edge_file):
     code, _, _ = run(capsys, ["g1x", edge_file, "-o", str(tmp_path / "g.json")])
     assert code == 0

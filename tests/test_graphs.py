@@ -9,6 +9,7 @@ import pytest
 
 from homcx import (
     Graph,
+    SimplicialComplex,
     build_g_kx,
     clique_complex,
     common_neighborhood,
@@ -159,6 +160,10 @@ def test_clique_complex_membership_oracle():
             for A in combinations(verts, r):
                 want = brute_clique_membership(G, A) if r > 1 else True
                 assert (frozenset(A) in simp) == want
+
+
+def test_clique_complex_of_the_empty_graph_is_empty():
+    assert clique_complex(Graph([], [])) == SimplicialComplex([])
 
 
 def test_clique_complex_ignores_loops():

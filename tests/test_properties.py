@@ -26,6 +26,7 @@ from homcx import (
     clique_complex,
     complete_graph,
     complex_from_dict,
+    core_fixture,
     complex_to_dict,
     enumerate_hom,
     euler_characteristic,
@@ -422,6 +423,42 @@ def test_quillen_pairs_by_enumeration_match_the_scan(H):
     assume(len(enumerate_hom(complete_graph(3), H)) * len(enumerate_hom(complete_graph(2), H))
            <= 200_000)
     assert check_quillen_conditions(3, H) == quillen_by_scan(3, H)
+
+
+def quillen_losing(monkeypatch, H, lost):
+    """The fiber checks and the scan, both on a Hom(K3, H) that misses
+    ``lost``; they must agree and list failures."""
+    complete = enumerate_hom
+
+    def lossy(G, H, cap=None):
+        P = complete(G, H, cap=cap)
+        if len(G.vertices) == 3:
+            return HomPoset(P.domain, [m for m in P if m != lost])
+        return P
+
+    monkeypatch.setattr("homcx.hom.enumerate_hom", lossy)
+    monkeypatch.setitem(globals(), "enumerate_hom", lossy)
+    report = check_quillen_conditions(3, H)
+    assert report == quillen_by_scan(3, H)
+    assert report.pair_failures
+    return report
+
+
+def test_quillen_lists_a_lost_candidate_as_the_scan_does(monkeypatch):
+    H = build_g_kx(core_fixture("boundary_delta2"), 1)
+    # the candidate of every rho = ({{1}}|{{1}}) below an eta ending in {{1}}
+    lost = next(m for m in enumerate_hom(complete_graph(3), H) if str(m) == "({{1}}|{{1}}|{{1}})")
+    report = quillen_losing(monkeypatch, H, lost)
+    assert report.maximum_failures == ()
+    assert len(report.pair_failures) == 8
+    assert {kind for _, _, kind in report.pair_failures} == {"candidate not a multihom"}
+
+
+def test_quillen_lists_a_lost_fiber_top_as_the_scan_does(monkeypatch):
+    H = build_g_kx(core_fixture("boundary_delta2"), 1)
+    rho = next(r for r in enumerate_hom(complete_graph(2), H) if str(r) == "({{1}}|{{1,2},{1,3}})")
+    report = quillen_losing(monkeypatch, H, fiber_maximum(rho, H))
+    assert report.maximum_failures == ((str(rho), "predicted maximum is not a multihom"),)
 
 
 def relabelled(H, labels):
