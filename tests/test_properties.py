@@ -26,8 +26,8 @@ from homcx import (
     clique_complex,
     complete_graph,
     complex_from_dict,
-    core_fixture,
     complex_to_dict,
+    core_fixture,
     enumerate_hom,
     euler_characteristic,
     fiber_maximum,
