@@ -15,7 +15,6 @@ from .simplicial import (
     load_complex,
     order_complex,
     save_complex,
-    skeleton,
 )
 from .graphs import (
     FoldStep,
@@ -34,10 +33,8 @@ from .graphs import (
     save_graph,
 )
 from .homology import (
-    BoundaryMatrix,
     HomologyProfile,
     SNFResult,
-    boundary_matrices,
     chain_homology,
     homology,
     profiles_equal,
@@ -51,10 +48,8 @@ from .collapse import (
     Filtration,
     StalledCollapse,
     certificate_to_dict,
-    free_face_pairs,
     greedy_collapse,
     kl_filtration,
-    perform_collapse,
     replay_certificate,
     verify_kl_collapse_sequence,
 )

@@ -35,8 +35,6 @@ __all__ = [
     "CollapseCertificate",
     "Filtration",
     "StalledCollapse",
-    "free_face_pairs",
-    "perform_collapse",
     "greedy_collapse",
     "kl_filtration",
     "verify_kl_collapse_sequence",
@@ -116,32 +114,6 @@ def _free_facet(S: set | frozenset, tau: frozenset, vertices: Iterable[Any]):
     sigma = frozenset().union(*cofacets(S, tau, vertices))
     # with no cofacet sigma is empty, and no simplex is
     return sigma if sigma in S else None
-
-
-def free_face_pairs(X: SimplicialComplex) -> list[CollapsiblePair]:
-    """All collapsible pairs of X, sorted by facet then free face."""
-    S = X.simplex_set()
-    V = X.vertices
-    pairs = []
-    for tau in X.simplices():
-        sigma = _free_facet(S, tau, V)
-        if sigma is not None:
-            pairs.append(CollapsiblePair(sigma=sigma, tau=tau))
-    key = simplex_key(X.rank)
-    return sorted(pairs, key=lambda p: (key(p.sigma), key(p.tau)))
-
-
-def perform_collapse(X: SimplicialComplex, pair: CollapsiblePair) -> SimplicialComplex:
-    """Remove the interval of a collapsible pair; rejects invalid pairs."""
-    S = X.simplex_set()
-    sigma = _free_facet(S, pair.tau, X.vertices)
-    if sigma is None or sigma != pair.sigma:
-        raise ValueError(
-            f"({render_label(pair.sigma)}, {render_label(pair.tau)}) "
-            "is not a collapsible pair here"
-        )
-    removed = set(_interval(pair.tau, pair.sigma, simplex_key(X.rank)))
-    return SimplicialComplex.from_simplices(S - removed)
 
 
 def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCertificate]:

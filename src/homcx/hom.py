@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from operator import le
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .canon import canonical_order, label_key, render_label, sorted_labels
 from .graphs import Graph, common_neighborhood, complete_graph
@@ -77,19 +77,14 @@ def resolve_cap(cap: int | None = None) -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class Multihom:
-    """Images of the source vertices, in the source's canonical order."""
+class Multihom(NamedTuple):
+    """Images of the source vertices, in the source's canonical order.
+
+    A named tuple, so hashing and equality run in C; it equals the plain
+    tuple ``(domain, images)``, which no Hom container mixes with it."""
 
     domain: tuple
     images: tuple
-
-    def __post_init__(self):
-        # every dict and set lookup hashes the key; compute it once
-        object.__setattr__(self, "_hash", hash((self.domain, self.images)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def get(self, u: Any) -> frozenset:
         return self.images[self.domain.index(u)]

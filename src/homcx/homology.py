@@ -24,10 +24,8 @@ from typing import Iterable, Mapping, Sequence
 from .simplicial import SimplicialComplex
 
 __all__ = [
-    "BoundaryMatrix",
     "SNFResult",
     "HomologyProfile",
-    "boundary_matrices",
     "chain_complex",
     "smith_normal_form",
     "sparse_smith_normal_form",
@@ -35,20 +33,6 @@ __all__ = [
     "homology",
     "profiles_equal",
 ]
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Matrix of the boundary map from k-chains to (k-1)-chains."""
-
-    k: int
-    rows: tuple  # (k-1)-simplices, canonical order
-    cols: tuple  # k-simplices, canonical order
-    entries: tuple  # tuple of row tuples over {-1, 0, 1}
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.cols))
 
 
 @dataclass(frozen=True)
@@ -133,33 +117,6 @@ def _check_boundary_squared(columns: Sequence[Sequence[Mapping[int, int]]]) -> N
                 raise AssertionError(
                     f"boundary of boundary is nonzero at {k}-cell {j}"
                 )
-
-
-def boundary_matrices(X: SimplicialComplex) -> list[BoundaryMatrix]:
-    """Boundary matrices for dimensions 1 .. dim X: the dense view of the
-    sparse columns :func:`homology` eliminates.
-
-    The composite of consecutive boundaries is verified to vanish on
-    every generator before the matrices are returned.
-    """
-    cells, columns = chain_complex(((s,) for s in X.simplices()), X.rank)
-    _check_boundary_squared(columns)
-    simplices = [tuple(s for (s,) in by_dim) for by_dim in cells]
-    matrices = []
-    for k in range(1, X.dim + 1):
-        entries = [[0] * len(cells[k]) for _ in cells[k - 1]]
-        for j, column in enumerate(columns[k - 1]):
-            for i, sign in column.items():
-                entries[i][j] = sign
-        matrices.append(
-            BoundaryMatrix(
-                k=k,
-                rows=simplices[k - 1],
-                cols=simplices[k],
-                entries=tuple(map(tuple, entries)),
-            )
-        )
-    return matrices
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SNFResult:

@@ -18,7 +18,6 @@ from .canon import canonical_order, render_label, simplex_key
 __all__ = [
     "SimplicialComplex",
     "Poset",
-    "skeleton",
     "face_poset",
     "order_complex",
     "barycentric_subdivision",
@@ -242,16 +241,6 @@ class Poset:
             for u in reversed(ups):
                 stack.append(chain + (u,))
         return chains
-
-
-def skeleton(X: SimplicialComplex, k: int) -> SimplicialComplex:
-    if k < 0:
-        raise ValueError("skeleton dimension must be non-negative")
-    if k >= X.dim:
-        return SimplicialComplex(X.facets)
-    return SimplicialComplex.from_simplices(
-        s for s in X.simplex_set() if len(s) <= k + 1
-    )
 
 
 def face_poset(X: SimplicialComplex) -> Poset:

@@ -15,7 +15,6 @@ from homcx import (
     HomologyProfile,
     Multihom,
     SimplicialComplex,
-    boundary_matrices,
     build_g_kx,
     clique_complex,
     barycentric_subdivision,
@@ -44,7 +43,7 @@ from homcx import (
     verify_kl_collapse_sequence,
     verify_nerve_theorem_hypotheses,
 )
-from test_homology import fraction_free_rank
+from test_homology import boundary_matrices, fraction_free_rank
 
 HOM_FIXTURES = ("point", "delta1", "boundary_delta2")
 
@@ -204,8 +203,8 @@ def test_criterion_09_homology_kernel():
         mats = boundary_matrices(core_fixture(name))
         for a, b in zip(mats, mats[1:]):
             prod = [
-                [sum(x * y for x, y in zip(row, col)) for col in zip(*b.entries)]
-                for row in a.entries
+                [sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                for row in a
             ]
             assert all(v == 0 for row in prod for v in row), name
 

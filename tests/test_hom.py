@@ -27,6 +27,7 @@ from homcx import (
     is_multihom,
     looped_edge_graph,
     multihom_to_dict,
+    neighborhood_complex,
     profiles_equal,
     restriction_map,
 )
@@ -340,6 +341,45 @@ def test_quillen_conditions_on_edge_complex():
     assert rep.maximum_failures == () and rep.pair_failures == ()
     with pytest.raises(ValueError):
         check_quillen_conditions(2, G)
+
+
+def looped_four_cycle():
+    """The 4-cycle 1-3-2-4 with a loop at every vertex.  It is not a
+    containment graph, and the paper's induction step fails on it."""
+    edges = [(1, 3), (1, 4), (2, 3), (2, 4)] + [(v, v) for v in range(1, 5)]
+    return Graph(vertices=range(1, 5), edges=edges)
+
+
+def test_induction_step_fails_on_the_looped_four_cycle():
+    """Negative control: Hom(K2) has the homology of S^2 and Hom(K3),
+    Hom(K4) that of S^1, so Hom(K3) and Hom(K2) differ.  Hom(K2) still
+    agrees with N(G), the boundary of a tetrahedron (Babson-Kozlov)."""
+    G = looped_four_cycle()
+    sphere = lambda d: {"betti": [1] + [0] * (d - 1) + [1], "torsion": [[]] * (d + 1)}
+    profiles = {}
+    for n, elements, printed in ((2, 50, sphere(2)), (3, 128, sphere(1)), (4, 352, sphere(1))):
+        P = enumerate_hom(complete_graph(n), G)
+        assert len(P) == elements, n
+        profiles[n] = hom_homology(P)
+        assert profiles[n].to_dict() == printed, n
+    assert not profiles_equal(profiles[3], profiles[2])
+    nbhd = homology(neighborhood_complex(G))
+    assert nbhd.to_dict() == sphere(2)
+    assert profiles_equal(profiles[2], nbhd)
+
+
+def test_quillen_names_the_fibers_without_a_maximum_on_the_looped_four_cycle():
+    """Negative control: the images of ({1,2}|{3,4}) and ({3,4}|{1,2})
+    cover every vertex, which have no common neighbour, so these two
+    fibers have no maximum.  Nothing else fails."""
+    report = check_quillen_conditions(3, looped_four_cycle())
+    assert (report.fibers_checked, report.pairs_checked) == (50, 384)
+    assert report.maximum_failures == (
+        ("({1,2}|{3,4})", "no candidate maximum"),
+        ("({3,4}|{1,2})", "no candidate maximum"),
+    )
+    assert report.pair_failures == ()
+    assert not report.passed
 
 
 def test_serialization_shapes():

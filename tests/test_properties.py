@@ -19,7 +19,6 @@ from homcx import (
     SimplicialComplex,
     StalledCollapse,
     barycentric_subdivision,
-    boundary_matrices,
     build_g_kx,
     certificate_to_dict,
     check_quillen_conditions,
@@ -31,7 +30,6 @@ from homcx import (
     enumerate_hom,
     euler_characteristic,
     fiber_maximum,
-    free_face_pairs,
     graph_from_dict,
     graph_to_dict,
     greedy_collapse,
@@ -42,6 +40,7 @@ from homcx import (
     kl_filtration,
     label_key,
     looped_edge_graph,
+    neighborhood_complex,
     profiles_equal,
     render_label,
     replay_certificate,
@@ -53,6 +52,8 @@ from homcx.canon import canonical_order, simplex_key
 from homcx.collapse import _free_facet, _interval
 from homcx.graphs import _maximal_cliques
 from homcx.simplicial import _CoverIndex, cofacets, faces, maximal_sets
+from test_collapse import free_face_pairs
+from test_homology import boundary_matrices
 
 # Labels of every kind the package builds: ints, simplices (frozensets) and
 # multihomomorphisms over one domain.  label_key separates all of them.
@@ -181,7 +182,7 @@ def dense_homology(X):
     """Dense Smith normal form of every boundary matrix."""
     if X.dim < 0:
         return HomologyProfile(betti=(), torsion=())
-    snfs = [smith_normal_form(M.entries) for M in boundary_matrices(X)]
+    snfs = [smith_normal_form(M) for M in boundary_matrices(X)]
     ranks = [0] + [snf.rank for snf in snfs] + [0]
     diagonals = [snf.diagonal for snf in snfs] + [()]
     counts = X.f_vector()
@@ -229,6 +230,15 @@ def test_hom_cell_counts_give_the_euler_characteristic(source, H):
     assert sum((-1) ** k * c for k, c in enumerate(cells)) == sum(
         (-1) ** k * b for k, b in enumerate(betti)
     )
+
+
+@settings(deadline=None)
+@given(looped_graphs.map(lambda H: Graph(H.vertices, H.edges | {(v, v) for v in H.vertices})))
+def test_edge_hom_has_the_homology_of_the_neighborhood_complex(H):
+    """Hom(K2, H) and N(H) are homotopy equivalent for every graph H
+    (Babson-Kozlov, arXiv:math/0310056), containment graph or not."""
+    P = enumerate_hom(complete_graph(2), H)
+    assert profiles_equal(hom_homology(P), homology(neighborhood_complex(H)))
 
 
 # sd of a 6-simplex has 5,040 facets, and one such example takes ~0.25 s

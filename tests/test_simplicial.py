@@ -16,7 +16,6 @@ from homcx import (
     load_complex,
     order_complex,
     save_complex,
-    skeleton,
 )
 
 
@@ -95,15 +94,6 @@ def test_contains_and_len():
     assert frozenset([1, 2]) in X
     assert frozenset([1, 2, 3]) not in X
     assert len(X) == 6
-
-
-def test_skeleton():
-    X = SimplicialComplex.from_facets([[1, 2, 3, 4]])
-    S1 = skeleton(X, 1)
-    assert S1.f_vector() == (4, 6)
-    S0 = skeleton(X, 0)
-    assert S0.f_vector() == (4,)
-    assert skeleton(S1, 1) == S1
 
 
 def test_face_poset_covers_match_brute_force():
