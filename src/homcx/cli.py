@@ -152,6 +152,12 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
+_CAP_HELP = (
+    "cap on the images a Hom enumeration tries, never fewer than the elements "
+    "it finds (default 10^6, or HOMCX_CAP); exit 3 past it"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homcx",
@@ -187,14 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="source graph: K<n>, looped-edge, or a graph JSON path",
     )
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap")
+    p.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("theorem", choices=sorted(SUITE_NAMES))
     p.add_argument("--fixtures", help='"core" or a comma-separated fixture list')
     p.add_argument("--fixture", help="single fixture name")
     p.add_argument("--n", type=int, default=None, help="source clique size")
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap")
+    p.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("-o", "--output", help="write report here instead of stdout")
     p.set_defaults(func=_cmd_verify)

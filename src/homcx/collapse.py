@@ -26,6 +26,7 @@ from .simplicial import (
     cofacets,
     complex_to_dict,
     faces,
+    maximal_sets,
     render_simplex,
 )
 
@@ -190,10 +191,18 @@ def kl_filtration(X: SimplicialComplex) -> Filtration:
     q = sum(1 for s in order if len(s) == 1)
     if p == q:
         raise ValueError("filtration undefined: no positive-dimensional simplex")
-    complexes = []
-    for l in range(1, p - q + 2):
-        gens = [G.neighbors(order[i]) for i in range(l - 1, p)]
-        complexes.append(SimplicialComplex(gens))
+    # K_l is generated by the neighborhoods of order[l - 1:].  From the last
+    # stage (the vertex stars) back, K_l's facets are K_{l+1}'s minus those
+    # N(sigma_l) covers, plus N(sigma_l) unless a kept facet covers it.
+    facets = maximal_sets(G.neighbors(v) for v in order[p - q :])
+    complexes = [SimplicialComplex.from_antichain(facets)]
+    for sigma in reversed(order[: p - q]):
+        nb = G.neighbors(sigma)
+        facets = [f for f in facets if not f <= nb]
+        if not any(nb <= f for f in facets):
+            facets.append(nb)
+        complexes.append(SimplicialComplex.from_antichain(facets))
+    complexes.reverse()
     return Filtration(order=order, p=p, q=q, complexes=tuple(complexes), graph=G)
 
 

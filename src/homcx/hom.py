@@ -49,20 +49,21 @@ DEFAULT_CAP = 10**6
 
 
 class CapExceeded(Exception):
-    """Enumeration hit the element cap before finishing."""
+    """Enumeration tried more images than the cap before finishing;
+    ``partial_count`` is the number tried."""
 
     def __init__(self, cap: int, partial_count: int):
         super().__init__(
-            f"multihomomorphism enumeration exceeded the cap of {cap} "
-            f"(partial count {partial_count})"
+            f"multihomomorphism enumeration tried {partial_count} images, "
+            f"more than the cap of {cap}"
         )
         self.cap = cap
         self.partial_count = partial_count
 
 
 def resolve_cap(cap: int | None = None) -> int:
-    """The element cap: ``cap`` if given, else HOMCX_CAP, else the default.
-    A negative cap is bad input."""
+    """The enumeration cap on images tried: ``cap`` if given, else
+    HOMCX_CAP, else the default.  A negative cap is bad input."""
     if cap is None:
         env = os.environ.get("HOMCX_CAP")
         if env is None:
@@ -228,29 +229,73 @@ def is_multihom(G: Graph, H: Graph, eta: Multihom | Mapping) -> bool:
     return True
 
 
+def _grown_images(
+    images: tuple, H: Graph, pool: list, has_later: bool, looped: bool
+) -> Iterator[tuple | None]:
+    """``images`` extended by each nonempty subset S of ``pool``, grown one
+    vertex at a time in pool order, depth first.
+
+    S carries its common neighborhood, one meet per added vertex.  A
+    branch is pruned when that neighborhood is empty and the source
+    vertex ``has_later`` neighbors (their images must lie in it), or when
+    it is ``looped`` and S leaves it (S must be a reflexive clique).  Both
+    pass from S to every superset, so no element is lost.  Every subset
+    tried is yielded, a pruned one as None, so the caller counts the work.
+    """
+    nbrs = [H.neighbors(v) for v in pool]
+    end = len(pool)
+    # (next pool position, S, cn(S)); children are pushed last-first, so
+    # the S come out in the order of their sorted ranks
+    todo = [(i + 1, frozenset((pool[i],)), nbrs[i]) for i in reversed(range(end))]
+    while todo:
+        nxt, S, meet = todo.pop()
+        if (has_later and not meet) or (looped and not meet >= S):
+            yield None
+            continue
+        yield images + (S,)
+        children = reversed(range(nxt, end))
+        todo.extend((i + 1, S.union((pool[i],)), meet & nbrs[i]) for i in children)
+
+
 def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
     """Every multihomomorphism G -> H, by depth-first extension.
 
     Source vertices are processed in canonical order; the image of the
-    next vertex ranges over nonempty subsets of the common neighborhood
-    of the images already assigned to its neighbors.  Extensions wait on a
-    stack, not in recursion.  Raises CapExceeded once more than ``cap``
-    elements have been found.
+    next vertex is a nonempty subset of the common neighborhood of the
+    images already assigned to its neighbors.  A vertex with a later
+    neighbor or a loop grows its image one target vertex at a time and
+    prunes a branch as soon as no superset can be an image
+    (:func:`_grown_images`); any other vertex takes every subset of its
+    pool, each of which extends.  Extensions wait on a stack, not in
+    recursion.
+
+    The cap bounds the work: every image tried, kept or pruned, counts,
+    and CapExceeded is raised, with that count, once more than ``cap``
+    have been tried.  On a source with vertices each element ends in an
+    image tried, so a run within the cap has at most ``cap`` elements.
     """
     cap = resolve_cap(cap)
     gverts = G.vertices
     # the positions of each source vertex's neighbors that come before it
     earlier = [[j for j in range(i) if G.has_edge(u, gverts[j])] for i, u in enumerate(gverts)]
+    has_later = [False] * len(gverts)
+    for js in earlier:
+        for j in js:
+            has_later[j] = True
     found: list[Multihom] = []
-    stack: list[Iterator[tuple]] = [iter([()])]
+    tried = -1  # the empty assignment at the root is no image
+    stack: list[Iterator[tuple | None]] = [iter([()])]
     while stack:
         # siblings come from one iterator; a node with children pushes
         # theirs and breaks, and the loop resumes it when they run out
         for images in stack[-1]:
+            tried += 1
+            if tried > cap:
+                raise CapExceeded(cap=cap, partial_count=tried)
+            if images is None:
+                continue
             idx = len(images)
             if idx == len(gverts):
-                if len(found) >= cap:
-                    raise CapExceeded(cap=cap, partial_count=len(found))
                 found.append(Multihom(domain=gverts, images=images))
                 continue
             fixed = [images[j] for j in earlier[idx]]
@@ -259,12 +304,13 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
             if not pool:
                 continue
             # in the target's order, multihoms come out nearly sorted for HomPoset
-            subsets = faces(sorted(pool, key=H.rank.__getitem__))
-            if G.has_loop(gverts[idx]):
-                # a looped vertex needs a reflexive clique: S within cn(S)
-                subsets = (S for S in subsets if S <= common_neighborhood(H, S))
-            # zip makes each S the one-tuple (S,) that extends images
-            stack.append(map(images.__add__, zip(subsets)))
+            pool = sorted(pool, key=H.rank.__getitem__)
+            looped = G.has_loop(gverts[idx])
+            if has_later[idx] or looped:
+                stack.append(_grown_images(images, H, pool, has_later[idx], looped))
+            else:
+                # zip makes each S the one-tuple (S,) that extends images
+                stack.append(map(images.__add__, zip(faces(pool))))
             break
         else:
             stack.pop()
@@ -346,8 +392,10 @@ def common_neighbor_witness(eta: Multihom, H: Graph) -> WitnessTrace:
         tau_chain.append(tau)
         remaining = [s for s in remaining if s not in set(family)]
     witness = tau
+    # adjacency is symmetric: witness lies in cn(img) iff img lies in N(witness)
+    near = H.neighbors(witness) if witness in H.rank else frozenset()
     for i, img in enumerate(eta.images, start=1):
-        if witness not in common_neighborhood(H, img):
+        if not img <= near:
             raise AssertionError(
                 f"constructed witness {render_label(witness)} misses the "
                 f"neighborhood of image {i}"

@@ -95,13 +95,11 @@ def _digest(payload: dict) -> str:
 
 
 def _brute_common_neighbors(H: Graph, eta: Multihom) -> frozenset:
-    """Intersection of the neighborhoods of all image members, computed
-    by direct adjacency scan (independent of common_neighborhood)."""
-    hits = []
-    for w in H.vertices:
-        if all(H.has_edge(w, v) for img in eta.images for v in img):
-            hits.append(w)
-    return frozenset(hits)
+    """The vertices adjacent to every image member, by a scan over all
+    vertices (independent of common_neighborhood): w is adjacent to each
+    member exactly when the members lie in N(w)."""
+    members = frozenset().union(*eta.images)
+    return frozenset(w for w in H.vertices if members <= H.neighbors(w))
 
 
 # ---------------------------------------------------------------------------

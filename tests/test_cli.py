@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -296,6 +297,29 @@ def test_quillen_reaches_boundary_delta3(capsys):
     assert report["passed"]
     assert report["artifacts"]["fibers_checked"] == 3002
     assert report["artifacts"]["pairs_checked"] == 127238
+
+
+def test_lemma_hom_nbhd_reaches_rp2(capsys):
+    """Hom(K2, G(rp2)) has the torsion of rp2: its first source vertex draws
+    from all 31 vertices, so only a pruned enumeration gets through."""
+    code, out, _ = run(
+        capsys, ["verify", "lemma-hom-nbhd", "--fixture", "rp2", "--format", "json"]
+    )
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["passed"]
+    assert report["artifacts"]["hom_k2_elements"] == 29533
+    assert report["artifacts"]["hom_k2_profile"]["torsion"] == [[], [2], []]
+
+
+def test_cap_bounds_the_images_tried_on_rp2(capsys):
+    """The cap counts images tried, so a capped run on rp2 stops at once
+    and names the count."""
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["verify", "thm-1.1", "--fixture", "rp2", "--cap", "1000"])
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert "tried 1001 images" in err
 
 
 def test_empty_fixture_tuple_is_not_a_pass():

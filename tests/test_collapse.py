@@ -3,6 +3,7 @@
 import pytest
 
 from homcx import (
+    CORE_FIXTURE_NAMES,
     CollapseCertificate,
     CollapsiblePair,
     CollapseStep,
@@ -124,6 +125,26 @@ def test_kl_filtration_of_triangle_boundary():
     assert F.complexes[0] == neighborhood_complex(build_g_kx(core_fixture("boundary_delta2"), 1))
     for A, B in zip(F.complexes, F.complexes[1:]):
         assert set(B.simplex_set()) <= set(A.simplex_set())
+
+
+def kl_stages_from_all_generators(X):
+    """Each K_l built afresh from every neighborhood that generates it."""
+    G = build_g_kx(X, 1)
+    order = sorted(G.vertices, key=lambda s: -len(s))
+    q = sum(1 for s in order if len(s) == 1)
+    return [
+        SimplicialComplex([G.neighbors(s) for s in order[l:]])
+        for l in range(len(order) - q + 1)
+    ]
+
+
+# the point has no filtration (see below); the 6-simplex has 121 stages
+@pytest.mark.parametrize("name", [n for n in CORE_FIXTURE_NAMES if n != "point"] + ["6-simplex"])
+def test_kl_stages_built_backwards_are_the_generated_complexes(name):
+    X = SimplicialComplex([range(7)]) if name == "6-simplex" else core_fixture(name)
+    stages = kl_stages_from_all_generators(X)
+    F = kl_filtration(X)
+    assert [K.facets for K in F.complexes] == [K.facets for K in stages]
 
 
 def test_kl_filtration_needs_positive_dimension():

@@ -332,6 +332,23 @@ def test_witness_needs_simplex_labels():
         common_neighbor_witness(eta, complete_graph(3))
 
 
+@pytest.mark.parametrize("fused_is_a_vertex", [False, True])
+def test_witness_off_the_neighborhoods_fails_its_assertion(fused_is_a_vertex):
+    """On the complete reflexive graph of the singletons {1}, {2}, {3}, the
+    fused witness {1,2} of ({{1},{2}}|{{3}}) is no vertex at all, or, once
+    added next to {1} alone, no common neighbor: both are assertion
+    failures, not a lookup error."""
+    s1, s2, s3, s12 = (frozenset(v) for v in ([1], [2], [3], [1, 2]))
+    vertices = [s1, s2, s3]
+    edges = [(a, b) for a in vertices for b in vertices]
+    if fused_is_a_vertex:
+        vertices, edges = vertices + [s12], edges + [(s1, s12)]
+    H = Graph(vertices, edges)
+    eta = Multihom(domain=(1, 2), images=(frozenset([s1, s2]), frozenset([s3])))
+    with pytest.raises(AssertionError, match="misses the neighborhood of image 1"):
+        common_neighbor_witness(eta, H)
+
+
 def test_quillen_conditions_on_edge_complex():
     G = build_g_kx(core_fixture("delta1"), 1)
     rep = check_quillen_conditions(3, G)
