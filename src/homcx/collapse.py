@@ -26,7 +26,6 @@ from .simplicial import (
     cofacets,
     complex_to_dict,
     faces,
-    maximal_sets,
     render_simplex,
 )
 
@@ -192,16 +191,13 @@ def kl_filtration(X: SimplicialComplex) -> Filtration:
     if p == q:
         raise ValueError("filtration undefined: no positive-dimensional simplex")
     # K_l is generated by the neighborhoods of order[l - 1:].  From the last
-    # stage (the vertex stars) back, K_l's facets are K_{l+1}'s minus those
-    # N(sigma_l) covers, plus N(sigma_l) unless a kept facet covers it.
-    facets = maximal_sets(G.neighbors(v) for v in order[p - q :])
-    complexes = [SimplicialComplex.from_antichain(facets)]
+    # stage (the vertex stars) back, K_l is generated by K_{l+1}'s facets
+    # and N(sigma_l).
+    K = SimplicialComplex(G.neighbors(v) for v in order[p - q :])
+    complexes = [K]
     for sigma in reversed(order[: p - q]):
-        nb = G.neighbors(sigma)
-        facets = [f for f in facets if not f <= nb]
-        if not any(nb <= f for f in facets):
-            facets.append(nb)
-        complexes.append(SimplicialComplex.from_antichain(facets))
+        K = SimplicialComplex([*K.facets, G.neighbors(sigma)])
+        complexes.append(K)
     complexes.reverse()
     return Filtration(order=order, p=p, q=q, complexes=tuple(complexes), graph=G)
 

@@ -269,10 +269,11 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
     pool, each of which extends.  Extensions wait on a stack, not in
     recursion.
 
-    The cap bounds the work: every image tried, kept or pruned, counts,
-    and CapExceeded is raised, with that count, once more than ``cap``
-    have been tried.  On a source with vertices each element ends in an
-    image tried, so a run within the cap has at most ``cap`` elements.
+    The cap bounds the work: every partial assignment tried counts, kept
+    or pruned, the empty one at the root included, and CapExceeded is
+    raised, with that count, once more than ``cap`` have been tried.  Each
+    element is an assignment tried, so a run within the cap has at most
+    ``cap`` elements.
     """
     cap = resolve_cap(cap)
     gverts = G.vertices
@@ -283,7 +284,7 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
         for j in js:
             has_later[j] = True
     found: list[Multihom] = []
-    tried = -1  # the empty assignment at the root is no image
+    tried = 0
     stack: list[Iterator[tuple | None]] = [iter([()])]
     while stack:
         # siblings come from one iterator; a node with children pushes
@@ -309,7 +310,9 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
             if has_later[idx] or looped:
                 stack.append(_grown_images(images, H, pool, has_later[idx], looped))
             else:
-                # zip makes each S the one-tuple (S,) that extends images
+                # nothing to prune, and faces yields every subset with no
+                # Python step per subset; zip makes each S the one-tuple
+                # (S,) that extends images
                 stack.append(map(images.__add__, zip(faces(pool))))
             break
         else:

@@ -118,16 +118,6 @@ class SimplicialComplex:
         X._simplex_set = simplex_set
         return X
 
-    @classmethod
-    def from_antichain(cls, facets: Iterable[frozenset]) -> "SimplicialComplex":
-        """Build from nonempty frozensets known to be pairwise incomparable.
-
-        They are trusted as the facets, not re-filtered.
-        """
-        X = cls(())
-        X._facets = frozenset(facets)
-        return X
-
     @property
     def facets(self) -> frozenset:
         return self._facets

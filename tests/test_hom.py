@@ -201,6 +201,18 @@ def test_enumeration_cap(monkeypatch):
         enumerate_hom(complete_graph(2), G)
 
 
+def test_cap_zero_stops_every_source():
+    """The empty assignment at the root counts as tried, so cap 0 stops
+    even the empty source, whose one element it is, and cap 1 lets that
+    element through."""
+    H = complete_graph(2)
+    for G in (Graph([], []), complete_graph(1)):
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_hom(G, H, cap=0)
+        assert exc.value.partial_count == 1
+    assert len(enumerate_hom(Graph([], []), H, cap=1)) == 1
+
+
 def test_enumeration_leaves_no_garbage_cycle():
     """The enumeration's working list is freed by reference counting, on
     return and when the cap is hit, not by a later cyclic collection."""
