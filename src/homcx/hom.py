@@ -6,6 +6,9 @@ lies in the edges of H (a loop on a G-vertex forces its image to induce
 a reflexive clique).  Pointwise inclusion makes these a poset; its order
 complex is the topological object of interest.
 
+Hom(G, H) is enumerated by one pruned depth-first walk, which emits the
+elements in the label order of multihoms, the order the poset keeps.
+
 For complete source graphs there is a restriction map dropping the last
 vertex.  Over containment graphs of a complex the fibers of that map
 have unique maxima, and the common-neighbor witness construction
@@ -106,22 +109,16 @@ class Multihom(NamedTuple):
 
 
 class HomPoset:
-    """All multihomomorphisms G -> H, ordered by pointwise inclusion."""
+    """All multihomomorphisms G -> H, ordered by pointwise inclusion.
+
+    The elements keep the order they are given in; :func:`enumerate_hom`
+    gives them in the label order of multihoms."""
 
     def __init__(self, domain: tuple, elements: Iterable[Multihom]):
         self.domain = tuple(domain)
-        elements = list(elements)
+        self.elements = tuple(elements)
         _, self.target_rank = canonical_order(
-            frozenset().union(*(img for m in elements for img in m.images))
-        )
-        rank = self.target_rank.__getitem__
-        # the label_key order of multihoms: ranks are injective and
-        # order-preserving, so sorted rank tuples compare as sorted keys
-        self.elements = tuple(
-            sorted(
-                elements,
-                key=lambda m: tuple(tuple(sorted(map(rank, img))) for img in m.images),
-            )
+            frozenset().union(*(img for m in self.elements for img in m.images))
         )
         self._index = {m: i for i, m in enumerate(self.elements)}
         self._poset: Poset | None = None
@@ -262,12 +259,12 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
 
     Source vertices are processed in canonical order; the image of the
     next vertex is a nonempty subset of the common neighborhood of the
-    images already assigned to its neighbors.  A vertex with a later
-    neighbor or a loop grows its image one target vertex at a time and
-    prunes a branch as soon as no superset can be an image
-    (:func:`_grown_images`); any other vertex takes every subset of its
-    pool, each of which extends.  Extensions wait on a stack, not in
-    recursion.
+    images already assigned to its neighbors.  Each image grows one
+    target vertex at a time, in rank order, and a branch is pruned as
+    soon as no superset can be an image (:func:`_grown_images`; a vertex
+    with no later neighbor and no loop prunes nothing).  Extensions wait
+    on a stack, not in recursion, and are taken depth first, so the
+    elements come out in the label order of multihoms.
 
     The cap bounds the work: every partial assignment tried counts, kept
     or pruned, the empty one at the root included, and CapExceeded is
@@ -304,16 +301,10 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
             pool = common_neighborhood(H, frozenset().union(*fixed)) if fixed else H.vertices
             if not pool:
                 continue
-            # in the target's order, multihoms come out nearly sorted for HomPoset
+            # grown in the target's order, the multihoms come out in
+            # HomPoset's order and the work count is the same every run
             pool = sorted(pool, key=H.rank.__getitem__)
-            looped = G.has_loop(gverts[idx])
-            if has_later[idx] or looped:
-                stack.append(_grown_images(images, H, pool, has_later[idx], looped))
-            else:
-                # nothing to prune, and faces yields every subset with no
-                # Python step per subset; zip makes each S the one-tuple
-                # (S,) that extends images
-                stack.append(map(images.__add__, zip(faces(pool))))
+            stack.append(_grown_images(images, H, pool, has_later[idx], G.has_loop(gverts[idx])))
             break
         else:
             stack.pop()
@@ -376,7 +367,7 @@ def common_neighbor_witness(eta: Multihom, H: Graph) -> WitnessTrace:
     k = mins.index(min(mins)) + 1
     # H.vertices is in label_key order, which among equal sizes is the
     # canonical simplex order
-    members = sorted(sorted(eta.images[k - 1], key=H.rank.__getitem__), key=len)
+    members = sorted(eta.images[k - 1], key=lambda s: (len(s), H.rank[s]))
     low = min(mins)
     i1 = sum(1 for s in members if len(s) == low)
     tau = frozenset().union(*members[:i1])
@@ -393,7 +384,8 @@ def common_neighbor_witness(eta: Multihom, H: Graph) -> WitnessTrace:
             break
         tau = tau | frozenset().union(*family)
         tau_chain.append(tau)
-        remaining = [s for s in remaining if s not in set(family)]
+        merged = set(family)
+        remaining = [s for s in remaining if s not in merged]
     witness = tau
     # adjacency is symmetric: witness lies in cn(img) iff img lies in N(witness)
     near = H.neighbors(witness) if witness in H.rank else frozenset()

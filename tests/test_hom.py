@@ -213,6 +213,28 @@ def test_cap_zero_stops_every_source():
     assert len(enumerate_hom(Graph([], []), H, cap=1)) == 1
 
 
+@pytest.mark.parametrize(
+    "fixture, source, work",
+    [
+        ("delta2", complete_graph(2), 669),
+        ("delta2", complete_graph(3), 3448),
+        ("delta2", looped_edge_graph(), 601),
+        # the isolated vertex 1 has no later neighbor and no loop, so it
+        # tries every subset of the target
+        ("delta2", Graph([1, 2, 3], [(2, 3)]), 84964),
+        ("boundary_delta3", complete_graph(2), 5288),
+        ("boundary_delta3", complete_graph(3), 18430),
+    ],
+)
+def test_enumeration_work_is_pinned(fixture, source, work):
+    """The cap is met by exactly the assignments tried, root included."""
+    H = build_g_kx(core_fixture(fixture), 1)
+    enumerate_hom(source, H, cap=work)
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_hom(source, H, cap=work - 1)
+    assert exc.value.partial_count == work
+
+
 def test_enumeration_leaves_no_garbage_cycle():
     """The enumeration's working list is freed by reference counting, on
     return and when the cap is hit, not by a later cyclic collection."""
