@@ -7,27 +7,23 @@ neighborhood complex of the containment graph of X and the union of the
 closed vertex stars, one simplex of X at a time, and the verifier turns
 each stage into an explicit certificate of elementary collapses.
 
-Every certificate can be replayed by set arithmetic alone, from the
-closure of its start complex.  The filtration verifier closes only the
-first complex of the filtration; each stage target is known by its
-facets.
+Collapsing, verifying and replaying all run on the start complex's mask
+view (:class:`homcx.simplicial.MaskView`): a simplex is an int, and
+labels are looked up only for certificate steps and collapsed cores.
+Every certificate can be replayed from the closure of its start complex
+alone.  The filtration verifier closes only the first complex of the
+filtration; each stage target is known by its facets.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Iterable
 
-from .canon import render_label, simplex_key
+from .canon import render_label
 from .graphs import Graph, build_g_kx
-from .simplicial import (
-    SimplicialComplex,
-    cofacets,
-    complex_to_dict,
-    faces,
-    render_simplex,
-)
+from .simplicial import SimplicialComplex, complex_to_dict, faces, render_simplex
 
 __all__ = [
     "CollapsiblePair",
@@ -98,83 +94,87 @@ class Filtration:
     graph: Graph
 
 
-def _interval(tau: frozenset, sigma: frozenset, key) -> tuple:
-    """The faces between tau and sigma, sorted by the simplex key ``key``."""
-    between = [tau] + [tau | extra for extra in faces(sigma - tau)]
-    return tuple(sorted(between, key=key))
-
-
-def _free_facet(S: set | frozenset, tau: frozenset, vertices: Iterable[Any]):
-    """The unique facet of S properly containing tau, or None.
-
-    In a downward-closed family tau is a free face exactly when the set
-    of one-vertex extensions of tau inside S assembles to a single
-    simplex of S; that simplex is then the facet.
-    """
-    sigma = frozenset().union(*cofacets(S, tau, vertices))
-    # with no cofacet sigma is empty, and no simplex is
-    return sigma if sigma in S else None
+def _step(label: dict, sigma: int, tau: int, removed: Iterable[int]) -> CollapseStep:
+    """A certificate step, with the complex's own simplices for masks."""
+    return CollapseStep(
+        pair=CollapsiblePair(sigma=label[sigma], tau=label[tau]),
+        removed=tuple(map(label.__getitem__, removed)),
+    )
 
 
 def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCertificate]:
     """Collapse free faces until none remain.
 
-    Each simplex carries a live cofacet count plus the sum of the vertex
-    ranks its cofacets add, so the unique cofacet of a count-one face is
-    recovered in constant time, without relabelling the complex.  A heap
-    pops the canonically first face whose lone cofacet is maximal; stale
-    entries are revalidated on pop.  Each step removes a codimension-one
-    pair, whose interval is just (tau, sigma).  Running dry is
-    conclusive: a face whose only containing facet sits several
+    Runs on the complex's mask view.  Each simplex carries a live
+    cofacet count plus the XOR of the vertex bits its cofacets add, so
+    the unique cofacet of a count-one face tau is ``tau | added[tau]``.  A
+    heap pops the canonically first face whose lone cofacet is maximal;
+    stale entries are revalidated on pop.  Each step removes a
+    codimension-one pair, whose interval is just (tau, sigma).  Running
+    dry is conclusive: a face whose only containing facet sits several
     dimensions up always yields a codimension-one free pair against that
     facet, so no free face of any kind survives.
     """
-    vertices, rank = X.vertices, X.rank
-    key = simplex_key(rank)
-    S = set(X.simplex_set())
-    cof_count = {s: 0 for s in S}
-    cof_vsum = {s: 0 for s in S}
+    view = X.masks
+    label = view.simplex
+    S = set(label)
+    count = dict.fromkeys(S, 0)
+    added = dict.fromkeys(S, 0)
     for s in S:
-        for v in s:
-            f = s - {v}
+        rest = s
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            f = s ^ b
             if f:
-                cof_count[f] += 1
-                cof_vsum[f] += rank[v]
+                count[f] += 1
+                added[f] ^= b
 
-    heap = [(key(f), f) for f in S if cof_count[f] == 1]
+    # the heap holds key(f) = popcount(f)·2^n − f, from which -key & full
+    # recovers f
+    key, full = view.key, (1 << view.n) - 1
+    heap = [key(f) for f in S if count[f] == 1]
     heapq.heapify(heap)
+    push = heapq.heappush
     steps: list[CollapseStep] = []
 
-    def drop(gamma: frozenset) -> None:
-        S.remove(gamma)
-        for v in gamma:
-            f = gamma - {v}
-            if not f or f not in S:
+    def unlink(gamma: int) -> None:
+        """Take gamma, already out of S, off the counts of its faces."""
+        rest = gamma
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            f = gamma ^ b
+            if f not in S:
                 continue
-            cof_count[f] -= 1
-            cof_vsum[f] -= rank[v]
-            if cof_count[f] == 1:
-                heapq.heappush(heap, (key(f), f))
-            elif cof_count[f] == 0:
+            c = count[f] = count[f] - 1
+            added[f] ^= b
+            if c == 1:
+                push(heap, key(f))
+            elif c == 0:
                 # f just became maximal; its count-one faces may be free now
-                for w in f:
-                    g = f - {w}
-                    if g and g in S and cof_count[g] == 1:
-                        heapq.heappush(heap, (key(g), g))
+                below = f
+                while below:
+                    w = below & -below
+                    below ^= w
+                    g = f ^ w
+                    if g in S and count[g] == 1:
+                        push(heap, key(g))
 
     while heap:
-        _, tau = heapq.heappop(heap)
-        if tau not in S or cof_count[tau] != 1:
+        tau = -heapq.heappop(heap) & full
+        if tau not in S or count[tau] != 1:
             continue
-        sigma = tau | {vertices[cof_vsum[tau]]}
-        if cof_count.get(sigma) != 0 or sigma not in S:
+        sigma = tau | added[tau]
+        if count[sigma]:
             continue
-        drop(sigma)
-        drop(tau)
-        steps.append(
-            CollapseStep(pair=CollapsiblePair(sigma=sigma, tau=tau), removed=(tau, sigma))
-        )
-    result = SimplicialComplex.from_simplices(S)
+        # tau leaves with sigma, so it is never pushed as a new maximum
+        S.remove(sigma)
+        S.remove(tau)
+        unlink(sigma)
+        unlink(tau)
+        steps.append(_step(label, sigma, tau, (tau, sigma)))
+    result = SimplicialComplex.from_simplices(map(label.__getitem__, S))
     cert = CollapseCertificate(start=X, end=result, stages=(tuple(steps),))
     return result, cert
 
@@ -225,63 +225,65 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
     also has pairs of this shape.  Raises StalledCollapse, carrying the
     stuck complex, if a stage cannot reach its target.
 
-    Only K_1 is closed into a simplex set; that set is carried from
-    stage to stage.  Each target K_{l+1} is known by its facets: since
-    the set equals K_l when stage l starts, what lies outside K_{l+1} is
-    exactly the faces of K_l's facets under no facet of K_{l+1}, which on
-    a genuine filtration are faces of N(sigma_l) alone.
+    Only K_1 is closed into a simplex set; that set, as masks of K_1's
+    view, is carried from stage to stage.  Each target K_{l+1} is known
+    by its facets: since the set equals K_l when stage l starts, what
+    lies outside K_{l+1} is exactly the faces of K_l's facets under no
+    facet of K_{l+1}, which on a genuine filtration are faces of
+    N(sigma_l) alone.
     """
-    V = F.graph.vertices
-    key = simplex_key(F.graph.rank)
-    S = set(F.complexes[0].simplex_set())
+    view = F.complexes[0].masks
+    label, mask = view.simplex, view.mask
+    S = set(label)
     stages: list[tuple] = []
     for l in range(1, F.p - F.q + 1):
         sig = F.order[l - 1]
+        sig_bit = view.bit.get(sig, 0)
         target = F.complexes[l]
-        # S is K_l here, so this is S minus K_{l+1}
-        outside = _faces_outside(F.complexes[l - 1], target)
+        # S is K_l here, so this is S minus K_{l+1}; a face on a vertex K_1
+        # lacks is in neither
+        outside = {mask(s) for s in _faces_outside(F.complexes[l - 1], target)}
+        outside.discard(None)
         steps: list[CollapseStep] = []
 
         def stall(message: str) -> StalledCollapse:
             return StalledCollapse(
                 f"stage {l}: {message}",
                 stage=l,
-                stuck=SimplicialComplex.from_simplices(frozenset(S)),
+                stuck=SimplicialComplex.from_simplices(map(label.__getitem__, S)),
             )
 
-        def apply(sigma: frozenset, tau: frozenset):
-            removed = _interval(tau, sigma, key)
+        def apply(sigma: int, tau: int):
+            removed = view.interval(tau, sigma)
             if not outside.issuperset(removed):
                 raise stall("a collapse would remove part of the next complex")
             S.difference_update(removed)
-            steps.append(
-                CollapseStep(pair=CollapsiblePair(sigma=sigma, tau=tau), removed=removed)
-            )
+            steps.append(_step(label, sigma, tau, removed))
 
-        first_sigma = frozenset(F.graph.neighbors(sig))
-        first_tau = first_sigma - {sig}
-        if not first_tau or _free_facet(S, first_tau, V) != first_sigma:
+        first_sigma = mask(F.graph.neighbors(sig))
+        first_tau = (first_sigma or 0) & ~sig_bit
+        if not first_tau or view.free_facet(S, first_tau) != first_sigma:
             raise stall(
                 f"the neighborhood of {render_label(sig)} has no free reduced face"
             )
         apply(first_sigma, first_tau)
-        candidates = sorted((s for s in outside if sig in s and s in S), key=key)
+        candidates = sorted((s for s in outside if s & sig_bit and s in S), key=view.key)
         progressed = True
         while progressed:
             progressed = False
             for sigma in candidates:
                 if sigma not in S:
                     continue
-                tau = sigma - {sig}
+                tau = sigma ^ sig_bit
                 if not tau or tau not in outside:
                     continue
-                if _free_facet(S, tau, V) == sigma:
+                if view.free_facet(S, tau) == sigma:
                     apply(sigma, tau)
                     progressed = True
                     break
         # nothing under a facet of K_{l+1} was removed, so S equals K_{l+1}
         # exactly when it holds those facets and nothing outside them
-        if not target.facets <= S or not S.isdisjoint(outside):
+        if not all(mask(f) in S for f in target.facets) or not S.isdisjoint(outside):
             raise stall("collapse stalled before reaching the next complex")
         stages.append(tuple(steps))
     return CollapseCertificate(
@@ -290,20 +292,21 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
 
 
 def replay_certificate(cert: CollapseCertificate) -> bool:
-    """Re-run a certificate from its start complex by set arithmetic,
+    """Re-run a certificate from its start complex on its mask view,
     revalidating every pair.  Returns True or raises ValueError."""
-    S = set(cert.start.simplex_set())
-    V = cert.start.vertices
-    key = simplex_key(cert.start.rank)
+    view = cert.start.masks
+    label, mask = view.simplex, view.mask
+    S = set(label)
     for n, step in enumerate(cert.steps):
-        sigma = _free_facet(S, step.pair.tau, V)
-        if sigma is None or sigma != step.pair.sigma:
+        tau = mask(step.pair.tau)
+        sigma = None if tau is None else view.free_facet(S, tau)
+        if sigma is None or label[sigma] != step.pair.sigma:
             raise ValueError(f"step {n}: pair is not collapsible at replay time")
-        removed = _interval(step.pair.tau, step.pair.sigma, key)
-        if removed != step.removed:
+        removed = view.interval(tau, sigma)
+        if tuple(map(label.__getitem__, removed)) != step.removed:
             raise ValueError(f"step {n}: removed interval does not match")
         S.difference_update(removed)
-    if S != set(cert.end.simplex_set()):
+    if set(map(label.__getitem__, S)) != cert.end.simplex_set():
         raise ValueError("replay did not reach the certified end complex")
     return True
 

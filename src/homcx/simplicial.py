@@ -4,7 +4,9 @@ A complex is stored by its facets (inclusion-maximal simplices); the
 downward closure is implicit and materialized on demand.  Simplices are
 frozensets of vertex labels.  The canonical simplex order used everywhere
 is dimension ascending, then lexicographic on the sorted vertex ranks
-(see :mod:`homcx.canon`).
+(see :mod:`homcx.canon`).  Algorithms that do set arithmetic on every
+simplex work on the complex's :class:`MaskView` instead, and look the
+labels up only to report them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .canon import canonical_order, render_label, simplex_key
 
 __all__ = [
     "SimplicialComplex",
+    "MaskView",
     "Poset",
     "face_poset",
     "order_complex",
@@ -142,6 +145,11 @@ class SimplicialComplex:
         return max(len(f) for f in self._facets) - 1
 
     @cached_property
+    def masks(self) -> "MaskView":
+        """The simplices as vertex bitmasks, built on the first call."""
+        return MaskView(self)
+
+    @cached_property
     def covers(self) -> Callable[[frozenset], bool]:
         """Whether a set lies under a facet; for a nonempty set, whether it
         is a simplex.  The facet index is built on the first call."""
@@ -187,6 +195,57 @@ class SimplicialComplex:
             f"SimplicialComplex({len(self.vertices)} vertices, "
             f"{len(self._facets)} facets, dim {self.dim})"
         )
+
+
+class MaskView:
+    """The simplices of a complex as vertex bitmasks.
+
+    The vertex of rank r is bit n - 1 - r.  Among simplices of one size
+    the canonical order is then descending mask, so :meth:`key` is one
+    int.  ``simplex`` maps each mask to the complex's own frozenset.
+    """
+
+    def __init__(self, X: SimplicialComplex):
+        n = len(X.vertices)
+        self.n = n
+        self.bit = {v: 1 << (n - 1 - r) for v, r in X.rank.items()}
+        self.simplex = {self.mask(s): s for s in X.simplex_set()}
+
+    def mask(self, s: Iterable[Any]) -> int | None:
+        """The mask of a vertex set, or None if it names a vertex the
+        complex does not have."""
+        try:
+            return sum(map(self.bit.__getitem__, s))
+        except KeyError:
+            return None
+
+    def key(self, m: int) -> int:
+        """Sort key of a nonempty mask: the canonical simplex order."""
+        return (m.bit_count() << self.n) - m
+
+    def free_facet(self, S: set, tau: int) -> int | None:
+        """The one facet of S properly containing tau, or None if tau
+        is not a free face of S, a downward-closed set of masks.
+
+        Tau is a free face exactly when its one-vertex extensions inside
+        S assemble to a single member of S; that member is then the facet.
+        """
+        sigma = tau
+        for b in self.bit.values():
+            # a bit of tau leaves sigma as it is
+            if tau | b in S:
+                sigma |= b
+        return sigma if sigma != tau and sigma in S else None
+
+    def interval(self, tau: int, sigma: int) -> list[int]:
+        """The masks between tau and sigma, in canonical order."""
+        extra = sigma & ~tau
+        between = [tau | extra]
+        sub = extra
+        while sub:
+            sub = (sub - 1) & extra
+            between.append(tau | sub)
+        return sorted(between, key=self.key)
 
 
 class Poset:

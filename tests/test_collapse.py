@@ -112,6 +112,32 @@ def test_replay_detects_tampering():
         replay_certificate(bad)
 
 
+@pytest.mark.parametrize(
+    "sigma, tau",
+    [
+        ([1, 2, 9], [1, 9]),  # both name a vertex the start complex lacks
+        ([1, 9], [1]),  # the free face is known, the facet is not
+    ],
+)
+def test_replay_rejects_a_pair_on_a_foreign_vertex(sigma, tau):
+    X = core_fixture("delta1")
+    _, cert = greedy_collapse(X)
+    pair = CollapsiblePair(sigma=frozenset(sigma), tau=frozenset(tau))
+    step = CollapseStep(pair=pair, removed=(pair.tau, pair.sigma))
+    bad = CollapseCertificate(start=cert.start, end=cert.end, stages=((step,),))
+    with pytest.raises(ValueError, match="not collapsible"):
+        replay_certificate(bad)
+
+
+def test_replay_rejects_an_end_complex_on_a_foreign_vertex():
+    X = core_fixture("delta1")
+    core, cert = greedy_collapse(X)
+    end = SimplicialComplex([*core.facets, [9]])
+    bad = CollapseCertificate(start=cert.start, end=end, stages=cert.stages)
+    with pytest.raises(ValueError, match="end complex"):
+        replay_certificate(bad)
+
+
 def test_kl_filtration_of_triangle_boundary():
     F = kl_filtration(core_fixture("boundary_delta2"))
     assert [render_label(s) for s in F.order] == [
@@ -204,6 +230,21 @@ def test_kl_collapse_stalls_on_tampered_target():
         verify_kl_collapse_sequence(fake)
     assert exc.value.stage == 1
     assert exc.value.stuck is not None
+
+
+def test_kl_collapse_stalls_on_a_target_facet_with_a_foreign_vertex():
+    F = kl_filtration(core_fixture("boundary_delta2"))
+    Ks = F.complexes
+    # K_2 plus a facet on a vertex that K_1, whose masks the verifier
+    # carries, does not have
+    grown = SimplicialComplex(Ks[1].facets | {frozenset([frozenset([0])])})
+    fake = Filtration(
+        order=F.order, p=F.p, q=F.q, complexes=(Ks[0], grown) + Ks[2:], graph=F.graph
+    )
+    with pytest.raises(StalledCollapse) as exc:
+        verify_kl_collapse_sequence(fake)
+    assert exc.value.stage == 1
+    assert exc.value.stuck == Ks[1]
 
 
 def test_certificate_dict_shape():

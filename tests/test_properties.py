@@ -52,7 +52,6 @@ from homcx import (
     verify_kl_collapse_sequence,
 )
 from homcx.canon import canonical_order, simplex_key
-from homcx.collapse import _free_facet, _interval
 from homcx.graphs import _maximal_cliques
 from homcx.simplicial import _CoverIndex, cofacets, faces, maximal_sets
 from test_collapse import free_face_pairs
@@ -115,6 +114,66 @@ def test_greedy_collapse_is_a_replayable_homotopy_equivalence(X):
     assert free_face_pairs(core) == []
     assert profiles_equal(homology(core), homology(X))
     assert len(core) + 2 * len(cert.steps) == len(X)
+
+
+# Vertex labels whose rank order is not their repr order ({2} before {10},
+# ints before frozensets), and complexes on 80 vertices, whose masks take
+# more than one machine word.
+mixed_labels = st.one_of(
+    st.integers(-3, 12), st.frozensets(st.integers(1, 12), min_size=1, max_size=2)
+)
+labelled_complexes = st.lists(
+    st.frozensets(mixed_labels, min_size=1, max_size=5), min_size=1, max_size=8
+).map(SimplicialComplex)
+wide_complexes = st.lists(
+    st.frozensets(st.integers(0, 79), min_size=1, max_size=3), max_size=40
+).map(lambda facets: SimplicialComplex(facets + [[v] for v in range(80)]))
+
+
+def greedy_steps_by_scan(X):
+    """Greedy collapse by its definition: at each step the canonically
+    first live tau with exactly one live cofacet, that cofacet maximal.
+    Returns the (sigma, tau) pairs and the simplices left."""
+    key = simplex_key(X.rank)
+    live = set(X.simplex_set())
+
+    def cofacets_of(s):
+        return [s | {v} for v in X.vertices if v not in s and s | {v} in live]
+
+    steps = []
+    while True:
+        for tau in sorted(live, key=key):
+            over = cofacets_of(tau)
+            if len(over) == 1 and not cofacets_of(over[0]):
+                break
+        else:
+            return steps, live
+        live -= {tau, over[0]}
+        steps.append((over[0], tau))
+
+
+@settings(deadline=None)
+@given(st.one_of(complexes, labelled_complexes, wide_complexes))
+@example(SimplicialComplex([[i, i + 1] for i in range(69)] + [[0, 35, 69]]))
+def test_greedy_collapse_takes_the_canonically_first_free_pair(X):
+    """The heap's int key is the canonical order: every step, and the
+    core, are the scan's."""
+    core, cert = greedy_collapse(X)
+    steps, live = greedy_steps_by_scan(X)
+    assert [(s.pair.sigma, s.pair.tau) for s in cert.steps] == steps
+    assert all(s.removed == (s.pair.tau, s.pair.sigma) for s in cert.steps)
+    assert core.simplex_set() == live
+
+
+@settings(deadline=None)
+@given(st.one_of(complexes, labelled_complexes, wide_complexes))
+def test_mask_key_is_the_canonical_order(X):
+    view = X.masks
+    assert len(view.simplex) == len(X)
+    assert all(view.mask(s) == m and s in X.simplex_set() for m, s in view.simplex.items())
+    assert [view.simplex[m] for m in sorted(view.simplex, key=view.key)] == list(
+        X.simplices()
+    )
 
 
 @settings(deadline=None)
@@ -325,6 +384,21 @@ def test_pivoted_cliques_are_the_unpivoted_cliques(G):
     assert set(pivoted) == {frozenset(c) for c in maximal_cliques_unpivoted(G)}
 
 
+def free_facet_by_cofacets(S, tau, vertices):
+    """The unique facet of S properly containing tau, or None, from the
+    label sets of tau's cofacets: in a downward-closed family tau is free
+    exactly when they assemble to a single member of S."""
+    sigma = frozenset().union(*cofacets(S, tau, vertices))
+    # with no cofacet sigma is empty, and no simplex is
+    return sigma if sigma in S else None
+
+
+def interval_by_faces(tau, sigma, key):
+    """The faces between tau and sigma, sorted by the simplex key ``key``."""
+    between = [tau] + [tau | extra for extra in faces(sigma - tau)]
+    return tuple(sorted(between, key=key))
+
+
 def kl_sequence_by_closure(F):
     """The filtration collapse checked against the closure of every
     stage target, each stage starting from the closure of K_l."""
@@ -338,7 +412,7 @@ def kl_sequence_by_closure(F):
         steps: list[CollapseStep] = []
 
         def apply(sigma: frozenset, tau: frozenset):
-            removed = _interval(tau, sigma, key)
+            removed = interval_by_faces(tau, sigma, key)
             if not target.isdisjoint(removed):
                 raise StalledCollapse(
                     f"stage {l}: a collapse would remove part of the next complex",
@@ -352,7 +426,7 @@ def kl_sequence_by_closure(F):
 
         first_sigma = frozenset(F.graph.neighbors(sig))
         first_tau = first_sigma - {sig}
-        if not first_tau or _free_facet(S, first_tau, V) != first_sigma:
+        if not first_tau or free_facet_by_cofacets(S, first_tau, V) != first_sigma:
             raise StalledCollapse(
                 f"stage {l}: the neighborhood of {render_label(sig)} has no free "
                 "reduced face",
@@ -370,7 +444,7 @@ def kl_sequence_by_closure(F):
                 tau = sigma - {sig}
                 if not tau or tau in target:
                     continue
-                if _free_facet(S, tau, V) == sigma:
+                if free_facet_by_cofacets(S, tau, V) == sigma:
                     apply(sigma, tau)
                     progressed = True
                     break
