@@ -3,7 +3,7 @@ around them: neighborhood, clique, and multihomomorphism complexes,
 collapse and nerve certificates, and integral homology.
 """
 
-from .canon import label_key, render_label, simplex_key, sorted_labels
+from .canon import label_key, render_label, sorted_labels
 from .simplicial import (
     Poset,
     SimplicialComplex,
@@ -11,7 +11,6 @@ from .simplicial import (
     complex_from_dict,
     complex_to_dict,
     euler_characteristic,
-    face_poset,
     load_complex,
     order_complex,
     save_complex,

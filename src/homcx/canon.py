@@ -4,16 +4,17 @@ Vertex labels are opaque hashable tokens: ints, strings, frozensets of
 labels (subdivision vertices are labelled by the simplex they subdivide),
 or any object exposing a ``canonical_key()`` method.  Each vertex set is
 sorted with :func:`label_key` once, by :func:`canonical_order`; after
-that a vertex is compared by its rank, its position in the sorted tuple,
-and simplices by :func:`simplex_key`.  Output is therefore stable across
-runs regardless of hash randomization.
+that a vertex is compared by its rank, its position in the sorted tuple.
+Simplices are compared by the int key of their complex's mask view
+(:class:`homcx.simplicial.MaskView`), which is built from those ranks.
+Output is therefore stable across runs regardless of hash randomization.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable
 
-__all__ = ["label_key", "canonical_order", "simplex_key", "sorted_labels", "render_label"]
+__all__ = ["label_key", "canonical_order", "sorted_labels", "render_label"]
 
 
 def label_key(label: Any) -> tuple:
@@ -39,21 +40,6 @@ def canonical_order(labels: Iterable[Any]) -> tuple[tuple, dict]:
     position in that tuple."""
     ordered = tuple(sorted(labels, key=label_key))
     return ordered, {v: i for i, v in enumerate(ordered)}
-
-
-def simplex_key(rank: Mapping[Any, int]) -> Callable[[frozenset], tuple]:
-    """Sort key for simplices: dimension first, then the sorted vertex ranks.
-
-    With ``rank`` from :func:`canonical_order` over any superset of the
-    vertices, this is the order of ``(len(s), sorted(label_key(v) for v
-    in s))`` whenever label_key separates the vertices, as it does for
-    every label type the package builds."""
-    position = rank.__getitem__
-
-    def key(simplex: frozenset) -> tuple:
-        return (len(simplex), tuple(sorted(map(position, simplex))))
-
-    return key
 
 
 def sorted_labels(labels: Iterable[Any]) -> list:

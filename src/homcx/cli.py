@@ -135,6 +135,8 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.fixture is not None and args.fixtures is not None:
+        raise ValueError("give --fixture or --fixtures, not both")
     fixtures = None
     if args.fixtures is not None:
         fixtures = (

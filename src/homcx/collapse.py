@@ -174,7 +174,7 @@ def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCe
         unlink(sigma)
         unlink(tau)
         steps.append(_step(label, sigma, tau, (tau, sigma)))
-    result = SimplicialComplex.from_simplices(map(label.__getitem__, S))
+    result = SimplicialComplex(map(label.__getitem__, S))
     cert = CollapseCertificate(start=X, end=result, stages=(tuple(steps),))
     return result, cert
 
@@ -250,7 +250,7 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
             return StalledCollapse(
                 f"stage {l}: {message}",
                 stage=l,
-                stuck=SimplicialComplex.from_simplices(map(label.__getitem__, S)),
+                stuck=SimplicialComplex(map(label.__getitem__, S)),
             )
 
         def apply(sigma: int, tau: int):

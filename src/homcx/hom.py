@@ -156,12 +156,9 @@ class HomPoset:
                             "pointwise restriction left the poset; "
                             "enumeration was incomplete"
                         )
+                    # m is appended once per face, in element order
                     upper[smaller].append(m)
-        covers = {
-            m: tuple(sorted(set(ups), key=self._index.__getitem__))
-            for m, ups in upper.items()
-        }
-        self._poset = Poset(self.elements, covers)
+        self._poset = Poset(self.elements, upper)
         return self._poset
 
 

@@ -77,16 +77,12 @@ def _intersections(cover: Cover) -> Iterator[tuple[tuple, set]]:
 def nerve_of_cover(cover: Cover) -> SimplicialComplex:
     """Nerve: a finite set of indices spans a simplex exactly when the
     corresponding pieces share at least one simplex."""
-    return SimplicialComplex.from_simplices(
-        frozenset(chosen) for chosen, _ in _intersections(cover)
-    )
+    return SimplicialComplex(frozenset(chosen) for chosen, _ in _intersections(cover))
 
 
 def cover_union(cover: Cover) -> SimplicialComplex:
-    union: set = set()
-    for i in cover.index:
-        union |= cover.pieces[i].simplex_set()
-    return SimplicialComplex.from_simplices(union) if union else SimplicialComplex([])
+    """The union of the pieces: the complex on all of their facets."""
+    return SimplicialComplex(f for i in cover.index for f in cover.pieces[i].facets)
 
 
 def _is_full_simplex(simplices: set) -> bool:

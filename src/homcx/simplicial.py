@@ -1,33 +1,33 @@
-"""Finite abstract simplicial complexes, face posets, order complexes.
+"""Finite abstract simplicial complexes, posets, order complexes and
+barycentric subdivision.
 
-A complex is stored by its facets (inclusion-maximal simplices); the
-downward closure is implicit and materialized on demand.  Simplices are
-frozensets of vertex labels.  The canonical simplex order used everywhere
-is dimension ascending, then lexicographic on the sorted vertex ranks
-(see :mod:`homcx.canon`).  Algorithms that do set arithmetic on every
-simplex work on the complex's :class:`MaskView` instead, and look the
-labels up only to report them.
+A complex is stored by its facets (inclusion-maximal simplices).
+Simplices are frozensets of vertex labels.  Each complex has one
+:class:`MaskView`, which gives every vertex a bit from its rank (see
+:mod:`homcx.canon`) and holds the downward closure, built from the facets
+on first use.  The view's int key is the one canonical simplex order:
+dimension ascending, then lexicographic on the sorted vertex ranks.
+Algorithms that do set arithmetic on every simplex work on the masks,
+and look the labels up only to report them.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 from typing import Any, Callable, Iterable, Iterator
 
-from .canon import canonical_order, render_label, simplex_key
+from .canon import canonical_order, render_label
 
 __all__ = [
     "SimplicialComplex",
     "MaskView",
     "Poset",
-    "face_poset",
     "order_complex",
     "barycentric_subdivision",
     "euler_characteristic",
     "maximal_sets",
     "faces",
-    "cofacets",
     "complex_to_dict",
     "render_simplex",
     "complex_from_dict",
@@ -42,11 +42,6 @@ def faces(s: Iterable) -> Iterator[frozenset]:
     members = tuple(s)
     sizes = range(1, len(members) + 1)
     return chain.from_iterable(map(frozenset, combinations(members, r)) for r in sizes)
-
-
-def cofacets(S: set | frozenset, s: frozenset, vertices: Iterable[Any]) -> list[frozenset]:
-    """The members of S that add one vertex to s, in the order of ``vertices``."""
-    return [s | {v} for v in vertices if v not in s and s | {v} in S]
 
 
 class _CoverIndex:
@@ -94,7 +89,6 @@ class SimplicialComplex:
                 raise ValueError("empty simplex")
             normalized.append(fs)
         self._facets = frozenset(maximal_sets(normalized))
-        self._simplices: tuple[frozenset, ...] | None = None
         self._simplex_set: frozenset | None = None
 
     @classmethod
@@ -108,18 +102,6 @@ class SimplicialComplex:
                 raise ValueError(f"duplicate vertex label in facet {listed!r}")
             checked.append(listed)
         return cls(checked)
-
-    @classmethod
-    def from_simplices(cls, simplices: Iterable[frozenset]) -> "SimplicialComplex":
-        """Build from an explicit, already downward-closed simplex set.
-
-        The closure is trusted, not re-verified; the given set seeds the
-        memoized simplex cache.
-        """
-        simplex_set = frozenset(simplices)
-        X = cls(simplex_set)
-        X._simplex_set = simplex_set
-        return X
 
     @property
     def facets(self) -> frozenset:
@@ -146,8 +128,8 @@ class SimplicialComplex:
 
     @cached_property
     def masks(self) -> "MaskView":
-        """The simplices as vertex bitmasks, built on the first call."""
-        return MaskView(self)
+        """The complex's closure and simplex order as vertex bitmasks."""
+        return MaskView(self._facets, self.rank)
 
     @cached_property
     def covers(self) -> Callable[[frozenset], bool]:
@@ -157,22 +139,18 @@ class SimplicialComplex:
 
     def simplex_set(self) -> frozenset:
         if self._simplex_set is None:
-            closure = set()
-            for f in self._facets:
-                closure.update(faces(f))
-            self._simplex_set = frozenset(closure)
+            self._simplex_set = frozenset(self.masks.simplex.values())
         return self._simplex_set
 
     def simplices(self) -> tuple[frozenset, ...]:
         """All simplices in canonical order."""
-        if self._simplices is None:
-            self._simplices = tuple(sorted(self.simplex_set(), key=simplex_key(self.rank)))
-        return self._simplices
+        view = self.masks
+        return tuple(map(view.simplex.__getitem__, sorted(view.simplex, key=view.key)))
 
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * (self.dim + 1)
-        for s in self.simplex_set():
-            counts[len(s) - 1] += 1
+        for m in self.masks.simplex:
+            counts[m.bit_count() - 1] += 1
         return tuple(counts)
 
     def __contains__(self, simplex: Iterable[Any]) -> bool:
@@ -188,7 +166,7 @@ class SimplicialComplex:
         return hash(self._facets)
 
     def __len__(self) -> int:
-        return len(self.simplex_set())
+        return len(self.masks.simplex)
 
     def __repr__(self) -> str:
         return (
@@ -202,14 +180,30 @@ class MaskView:
 
     The vertex of rank r is bit n - 1 - r.  Among simplices of one size
     the canonical order is then descending mask, so :meth:`key` is one
-    int.  ``simplex`` maps each mask to the complex's own frozenset.
+    int.  ``simplex`` maps each mask of the closure to its frozenset; it
+    is built from the facets on first use.  The view holds the facets and
+    the bits, not the complex.
     """
 
-    def __init__(self, X: SimplicialComplex):
-        n = len(X.vertices)
+    def __init__(self, facets: frozenset, rank: dict):
+        n = len(rank)
         self.n = n
-        self.bit = {v: 1 << (n - 1 - r) for v, r in X.rank.items()}
-        self.simplex = {self.mask(s): s for s in X.simplex_set()}
+        self.bit = {v: 1 << (n - 1 - r) for v, r in rank.items()}
+        self._facets = facets
+
+    @cached_property
+    def simplex(self) -> dict[int, frozenset]:
+        """Every face of every facet, by mask; a face shared by several
+        facets gets one frozenset."""
+        closure: dict[int, frozenset] = {}
+        for f in self._facets:
+            members = tuple(f)
+            bits = list(map(self.bit.__getitem__, members))
+            for r in range(1, len(members) + 1):
+                for s, m in zip(combinations(members, r), map(sum, combinations(bits, r))):
+                    if m not in closure:
+                        closure[m] = frozenset(s)
+        return closure
 
     def mask(self, s: Iterable[Any]) -> int | None:
         """The mask of a vertex set, or None if it names a vertex the
@@ -302,21 +296,6 @@ class Poset:
         return chains
 
 
-def face_poset(X: SimplicialComplex) -> Poset:
-    """Poset of the simplices of X ordered by inclusion.
-
-    Covering relations are codimension-one containments, which in a
-    downward-closed family are all the covers there are.
-    """
-    simplex_set = X.simplex_set()
-    key = simplex_key(X.rank)
-    covers = {
-        s: tuple(sorted(cofacets(simplex_set, s, X.vertices), key=key))
-        for s in X.simplices()
-    }
-    return Poset(X.simplices(), covers)
-
-
 def order_complex(P: Poset) -> SimplicialComplex:
     """Complex of chains of P.  Facets are the maximal chains."""
     if len(P) == 0:
@@ -326,12 +305,17 @@ def order_complex(P: Poset) -> SimplicialComplex:
 
 def barycentric_subdivision(X: SimplicialComplex, k: int = 1) -> SimplicialComplex:
     """k-fold subdivision: vertices of each stage are the simplices of the
-    previous one, simplices are inclusion chains."""
+    previous one, simplices are inclusion chains.  The facets of a stage
+    are the chains of prefixes of the orderings of the previous facets."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("subdivision depth must be a positive integer")
     Y = X
     for _ in range(k):
-        Y = order_complex(face_poset(Y))
+        Y = SimplicialComplex(
+            frozenset(frozenset(p[:i]) for i in range(1, len(p) + 1))
+            for f in Y.facets
+            for p in permutations(f)
+        )
     return Y
 
 
@@ -345,7 +329,8 @@ def euler_characteristic(X: SimplicialComplex) -> int:
 # JSON form: {"facets": [["1", "2"], ["2", "3"]]}, labels rendered to strings.
 
 def complex_to_dict(X: SimplicialComplex) -> dict:
-    facets = sorted(X.facets, key=simplex_key(X.rank))
+    view = X.masks
+    facets = sorted(X.facets, key=lambda f: view.key(view.mask(f)))
     return {"facets": [render_simplex(X, f) for f in facets]}
 
 

@@ -243,7 +243,7 @@ def test_criterion_09_homology_kernel():
         for step in cert.steps:
             S.difference_update(step.removed)
             assert profiles_equal(
-                homology(SimplicialComplex.from_simplices(frozenset(S))), want
+                homology(SimplicialComplex(S)), want
             ), name
     for name in ("delta2", "path2"):
         X = core_fixture(name)
@@ -253,7 +253,7 @@ def test_criterion_09_homology_kernel():
         for step in cert.steps:
             S.difference_update(step.removed)
             assert profiles_equal(
-                homology(SimplicialComplex.from_simplices(frozenset(S))), want
+                homology(SimplicialComplex(S)), want
             ), name
     print("criterion 9 (integer homology kernel cross-checks): PASS")
 

@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from homcx import SimplicialComplex, core_fixture, greedy_collapse, run_suite, save_complex
+from homcx import (
+    SimplicialComplex,
+    build_g_kx,
+    core_fixture,
+    greedy_collapse,
+    neighborhood_complex,
+    run_suite,
+    save_complex,
+)
 from homcx.cli import main
 
 
@@ -217,6 +225,14 @@ def test_bad_fixture_name_exit_code(capsys):
     assert code == 2
 
 
+def test_fixture_and_fixtures_together_are_bad_input(capsys):
+    argv = ["verify", "prop-3.1", "--fixture", "point", "--fixtures", "delta1,rp2"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -337,3 +353,33 @@ def test_console_script_entry_point(tmp_path):
     )
     assert res.returncode == 0
     assert json.loads(res.stdout) == {"betti": [1], "torsion": [[]]}
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """The greedy certificate of N(G(rp2)), sd^2 of rp2 and the
+    prop-collapse report on rp2, wall time removed, are byte-identical
+    under two hash seeds."""
+    X = core_fixture("rp2")
+    space, nbhd = tmp_path / "rp2.json", tmp_path / "nbhd.json"
+    save_complex(X, str(space))
+    save_complex(neighborhood_complex(build_g_kx(X, 1)), str(nbhd))
+    commands = [
+        ["collapse", str(nbhd)],
+        ["sd", "-k", "2", str(space)],
+        ["verify", "prop-collapse", "--fixture", "rp2", "--format", "json"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def outputs(seed):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        outs = []
+        for argv in commands:
+            res = subprocess.run(
+                [sys.executable, "-m", "homcx.cli", *argv], capture_output=True, env=env
+            )
+            assert res.returncode == 0, res.stderr
+            lines = res.stdout.splitlines()
+            outs.append([line for line in lines if b'"wall_time_s"' not in line])
+        return outs
+
+    assert outputs("0") == outputs("12345")

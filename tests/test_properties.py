@@ -51,9 +51,9 @@ from homcx import (
     sparse_smith_normal_form,
     verify_kl_collapse_sequence,
 )
-from homcx.canon import canonical_order, simplex_key
+from homcx.canon import canonical_order
 from homcx.graphs import _maximal_cliques
-from homcx.simplicial import _CoverIndex, cofacets, faces, maximal_sets
+from homcx.simplicial import _CoverIndex, faces, maximal_sets
 from test_collapse import free_face_pairs
 from test_homology import boundary_matrices
 
@@ -73,13 +73,16 @@ def slow_simplex_key(s):
 
 @settings(deadline=None)
 @given(
-    st.lists(st.frozensets(labels, min_size=1, max_size=4), max_size=12),
-    st.frozensets(labels, max_size=4),
+    st.lists(st.frozensets(labels, min_size=1, max_size=4), min_size=1, max_size=12),
+    st.lists(st.frozensets(labels, min_size=1, max_size=4), max_size=4),
 )
 def test_rank_key_sorts_as_label_keys(family, extra):
-    # ranks over any superset of the vertices give the same order
-    _, rank = canonical_order(frozenset(extra).union(*family))
-    assert sorted(family, key=simplex_key(rank)) == sorted(family, key=slow_simplex_key)
+    """The mask key of a complex on labels of every kind sorts any of its
+    simplices, facets or not, as their label keys do; extra facets only
+    add vertices."""
+    view = SimplicialComplex(family + extra).masks
+    by_mask = sorted(family, key=lambda s: view.key(view.mask(s)))
+    assert by_mask == sorted(family, key=slow_simplex_key)
 
 
 @settings(deadline=None)
@@ -134,7 +137,6 @@ def greedy_steps_by_scan(X):
     """Greedy collapse by its definition: at each step the canonically
     first live tau with exactly one live cofacet, that cofacet maximal.
     Returns the (sigma, tau) pairs and the simplices left."""
-    key = simplex_key(X.rank)
     live = set(X.simplex_set())
 
     def cofacets_of(s):
@@ -142,7 +144,7 @@ def greedy_steps_by_scan(X):
 
     steps = []
     while True:
-        for tau in sorted(live, key=key):
+        for tau in sorted(live, key=slow_simplex_key):
             over = cofacets_of(tau)
             if len(over) == 1 and not cofacets_of(over[0]):
                 break
@@ -168,12 +170,14 @@ def test_greedy_collapse_takes_the_canonically_first_free_pair(X):
 @settings(deadline=None)
 @given(st.one_of(complexes, labelled_complexes, wide_complexes))
 def test_mask_key_is_the_canonical_order(X):
-    view = X.masks
-    assert len(view.simplex) == len(X)
-    assert all(view.mask(s) == m and s in X.simplex_set() for m, s in view.simplex.items())
-    assert [view.simplex[m] for m in sorted(view.simplex, key=view.key)] == list(
-        X.simplices()
-    )
+    """The view's closure and order are the faces of the facets sorted by
+    label keys."""
+    closure = {s for f in X.facets for s in faces(f)}
+    assert list(X.simplices()) == sorted(closure, key=slow_simplex_key)
+    assert len(X) == len(closure)
+    sizes = [len(s) for s in closure]
+    assert X.f_vector() == tuple(sizes.count(d) for d in range(1, X.dim + 2))
+    assert all(X.masks.mask(s) == m for m, s in X.masks.simplex.items())
 
 
 @settings(deadline=None)
@@ -196,14 +200,9 @@ def test_cover_index_is_the_subset_scan(family, s):
 
 @settings(deadline=None)
 @given(complexes, st.data())
-def test_cofacets_and_faces_are_the_scans(X, data):
+def test_faces_are_the_subset_scan(X, data):
     S = X.simplex_set()
     s = data.draw(st.sampled_from(X.simplices()))
-    vertices = X.vertices + (0, 8)
-    assert cofacets(S, s, vertices) == sorted(
-        (t for t in S if s < t and len(t) == len(s) + 1),
-        key=lambda t: vertices.index(min(t - s)),
-    )
     listed = list(faces(s))
     assert [len(f) for f in listed] == sorted(len(f) for f in listed)
     assert len(listed) == 2 ** len(s) - 1
@@ -388,22 +387,22 @@ def free_facet_by_cofacets(S, tau, vertices):
     """The unique facet of S properly containing tau, or None, from the
     label sets of tau's cofacets: in a downward-closed family tau is free
     exactly when they assemble to a single member of S."""
-    sigma = frozenset().union(*cofacets(S, tau, vertices))
+    cofacets = (tau | {v} for v in vertices if v not in tau and tau | {v} in S)
+    sigma = frozenset().union(*cofacets)
     # with no cofacet sigma is empty, and no simplex is
     return sigma if sigma in S else None
 
 
-def interval_by_faces(tau, sigma, key):
-    """The faces between tau and sigma, sorted by the simplex key ``key``."""
+def interval_by_faces(tau, sigma):
+    """The faces between tau and sigma, in the label-key simplex order."""
     between = [tau] + [tau | extra for extra in faces(sigma - tau)]
-    return tuple(sorted(between, key=key))
+    return tuple(sorted(between, key=slow_simplex_key))
 
 
 def kl_sequence_by_closure(F):
     """The filtration collapse checked against the closure of every
     stage target, each stage starting from the closure of K_l."""
     V = F.graph.vertices
-    key = simplex_key(F.graph.rank)
     stages: list[tuple] = []
     for l in range(1, F.p - F.q + 1):
         sig = F.order[l - 1]
@@ -412,12 +411,12 @@ def kl_sequence_by_closure(F):
         steps: list[CollapseStep] = []
 
         def apply(sigma: frozenset, tau: frozenset):
-            removed = interval_by_faces(tau, sigma, key)
+            removed = interval_by_faces(tau, sigma)
             if not target.isdisjoint(removed):
                 raise StalledCollapse(
                     f"stage {l}: a collapse would remove part of the next complex",
                     stage=l,
-                    stuck=SimplicialComplex.from_simplices(frozenset(S)),
+                    stuck=SimplicialComplex(S),
                 )
             S.difference_update(removed)
             steps.append(
@@ -431,10 +430,12 @@ def kl_sequence_by_closure(F):
                 f"stage {l}: the neighborhood of {render_label(sig)} has no free "
                 "reduced face",
                 stage=l,
-                stuck=SimplicialComplex.from_simplices(frozenset(S)),
+                stuck=SimplicialComplex(S),
             )
         apply(first_sigma, first_tau)
-        candidates = sorted((s for s in S if sig in s and s not in target), key=key)
+        candidates = sorted(
+            (s for s in S if sig in s and s not in target), key=slow_simplex_key
+        )
         progressed = True
         while progressed:
             progressed = False
@@ -452,7 +453,7 @@ def kl_sequence_by_closure(F):
             raise StalledCollapse(
                 f"stage {l}: collapse stalled before reaching the next complex",
                 stage=l,
-                stuck=SimplicialComplex.from_simplices(frozenset(S)),
+                stuck=SimplicialComplex(S),
             )
         stages.append(tuple(steps))
     return CollapseCertificate(

@@ -1,4 +1,5 @@
-"""Facet storage, closure, face posets, subdivision, serialization."""
+"""Facet storage, closure, subdivision against the face poset,
+serialization."""
 
 import random
 from itertools import combinations
@@ -6,13 +7,14 @@ from itertools import combinations
 import pytest
 
 from homcx import (
+    CORE_FIXTURE_NAMES,
+    Poset,
     SimplicialComplex,
     barycentric_subdivision,
     complex_from_dict,
     complex_to_dict,
     core_fixture,
     euler_characteristic,
-    face_poset,
     load_complex,
     order_complex,
     save_complex,
@@ -27,6 +29,20 @@ def closure_by_hand(facets):
         for r in range(1, len(members) + 1):
             out.update(frozenset(c) for c in combinations(members, r))
     return out
+
+
+def face_poset(X):
+    """Poset of the simplices of X ordered by inclusion, covers by a scan
+    over the vertices: in a downward-closed family the codimension-one
+    containments are all the covers there are, and adding vertices in
+    rank order lists them in canonical order."""
+    simplices = X.simplices()
+    S = set(simplices)
+    covers = {
+        s: tuple(s | {v} for v in X.vertices if v not in s and s | {v} in S)
+        for s in simplices
+    }
+    return Poset(simplices, covers)
 
 
 def random_complex(rng, n_max=6, f_max=5, dim_max=3):
@@ -144,8 +160,13 @@ def test_subdivision_f_vectors():
 
 
 def test_subdivision_is_order_complex_of_face_poset():
-    X = core_fixture("path2")
-    assert barycentric_subdivision(X) == order_complex(face_poset(X))
+    """Prefix chains of facet orderings, against the maximal chains of the
+    face poset, at depths 1 and 2."""
+    for name in CORE_FIXTURE_NAMES:
+        X = core_fixture(name)
+        Y = order_complex(face_poset(X))
+        assert barycentric_subdivision(X) == Y, name
+        assert barycentric_subdivision(X, 2) == order_complex(face_poset(Y)), name
 
 
 def test_subdivision_preserves_euler():
