@@ -20,7 +20,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import product, repeat
+from math import prod
 from operator import le
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
@@ -108,6 +109,17 @@ class Multihom(NamedTuple):
         return "(" + "|".join(render_label(img) for img in self.images) + ")"
 
 
+def _drops(images: tuple, stop: int) -> Iterator[tuple]:
+    """``images`` with one vertex dropped from one of its first ``stop``
+    images, each way that leaves no image empty."""
+    for i in range(stop):
+        img = images[i]
+        if len(img) > 1:
+            head, tail = images[:i], images[i + 1 :]
+            for v in img:
+                yield head + (img - {v},) + tail
+
+
 class HomPoset:
     """All multihomomorphisms G -> H, ordered by pointwise inclusion.
 
@@ -143,21 +155,15 @@ class HomPoset:
             return self._poset
         upper: dict[Multihom, list] = {m: [] for m in self.elements}
         for m in self.elements:
-            for i, img in enumerate(m.images):
-                if len(img) < 2:
-                    continue
-                for v in img:
-                    smaller = Multihom(
-                        domain=m.domain,
-                        images=m.images[:i] + (img - {v},) + m.images[i + 1 :],
+            for images in _drops(m.images, len(m.images)):
+                smaller = Multihom(m.domain, images)
+                if smaller not in self._index:
+                    raise AssertionError(
+                        "pointwise restriction left the poset; "
+                        "enumeration was incomplete"
                     )
-                    if smaller not in self._index:
-                        raise AssertionError(
-                            "pointwise restriction left the poset; "
-                            "enumeration was incomplete"
-                        )
-                    # m is appended once per face, in element order
-                    upper[smaller].append(m)
+                # m is appended once per face, in element order
+                upper[smaller].append(m)
         self._poset = Poset(self.elements, upper)
         return self._poset
 
@@ -233,7 +239,8 @@ def _grown_images(
     branch is pruned when that neighborhood is empty and the source
     vertex ``has_later`` neighbors (their images must lie in it), or when
     it is ``looped`` and S leaves it (S must be a reflexive clique).  Both
-    pass from S to every superset, so no element is lost.  Every subset
+    pass from S to every superset, so no element is lost.  With neither
+    flag nothing is pruned, and the meets are skipped.  Every subset
     tried is yielded, a pruned one as None, so the caller counts the work.
     """
     nbrs = [H.neighbors(v) for v in pool]
@@ -248,7 +255,11 @@ def _grown_images(
             continue
         yield images + (S,)
         children = reversed(range(nxt, end))
-        todo.extend((i + 1, S.union((pool[i],)), meet & nbrs[i]) for i in children)
+        if has_later or looped:
+            todo.extend((i + 1, S.union((pool[i],)), meet & nbrs[i]) for i in children)
+        else:
+            # nothing prunes, so nothing reads cn(S)
+            todo.extend((i + 1, S.union((pool[i],)), meet) for i in children)
 
 
 def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
@@ -358,15 +369,21 @@ def common_neighbor_witness(eta: Multihom, H: Graph) -> WitnessTrace:
     vertex is comparable with every member of every image; membership in
     the actual common neighborhood is asserted before returning.
     """
-    if not all(isinstance(v, frozenset) for img in eta.images for v in img):
+    images = eta.images
+    union = frozenset().union(*images)
+    if not all(map(isinstance, union, repeat(frozenset))):
         raise ValueError("witness construction needs simplex-valued target vertices")
-    mins = [min(len(v) for v in img) for img in eta.images]
-    k = mins.index(min(mins)) + 1
-    # H.vertices is in label_key order, which among equal sizes is the
-    # canonical simplex order
-    members = sorted(eta.images[k - 1], key=lambda s: (len(s), H.rank[s]))
+    mins = [min(map(len, img)) for img in images]
     low = min(mins)
-    i1 = sum(1 for s in members if len(s) == low)
+    k = mins.index(low) + 1
+    chosen = images[k - 1]
+    if len(chosen) > 1:
+        # H.vertices is in label_key order, which among equal sizes is the
+        # canonical simplex order; the second sort is stable
+        members = sorted(sorted(chosen, key=H.rank.__getitem__), key=len)
+    else:
+        members = [*chosen]
+    i1 = [*map(len, members)].count(low)
     tau = frozenset().union(*members[:i1])
     tau_chain = [tau]
     remaining = members[i1:]
@@ -386,12 +403,12 @@ def common_neighbor_witness(eta: Multihom, H: Graph) -> WitnessTrace:
     witness = tau
     # adjacency is symmetric: witness lies in cn(img) iff img lies in N(witness)
     near = H.neighbors(witness) if witness in H.rank else frozenset()
-    for i, img in enumerate(eta.images, start=1):
-        if not img <= near:
-            raise AssertionError(
-                f"constructed witness {render_label(witness)} misses the "
-                f"neighborhood of image {i}"
-            )
+    if not union <= near:
+        i = next(i for i, img in enumerate(images, start=1) if not img <= near)
+        raise AssertionError(
+            f"constructed witness {render_label(witness)} misses the "
+            f"neighborhood of image {i}"
+        )
     return WitnessTrace(
         k=k,
         i1=i1,
@@ -417,12 +434,20 @@ def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> Quille
     neighborhood is a multihom above its fiber, and the (B) candidate is
     a sub-multihom of eta.
 
-    The rho below a restricted eta are generated, not searched for: they
-    are exactly the products of nonempty subsets of its images, and each
-    is a sub-multihomomorphism, so it lies in Hom(K_{n-1}, H).  Each
-    image's subsets are sorted once by their target ranks, so the
-    products, and with them the pairs and failures, come in that poset's
-    order, as a scan over all of it would list them.
+    The rho below a restricted eta are the products of nonempty subsets
+    of its images.  Two checks, one pass over P = Hom(K_n, H) each,
+    settle every (B) pair at once: every restricted eta lies in
+    Q = Hom(K_{n-1}, H), and P is closed under dropping one vertex from
+    an image before the last.  Then each candidate is reached from eta
+    by such drops, so it lies in P, and rho, its restriction, lies in Q.
+    No pair fails, and eta has prod_{i<n} (2^|eta_i| - 1) of them.
+
+    When either check fails, the enumeration lost an element, and the
+    pairs are generated one by one: a rho missing from Q raises an
+    AssertionError, and a candidate missing from P is a pair failure.
+    Each image's subsets are sorted once by their target ranks, so the
+    products, and with them the pairs and failures, come in Q's order,
+    as a scan over all of Q would list them.
     """
     if n < 3:
         raise ValueError("fiber checks need n >= 3")
@@ -433,7 +458,8 @@ def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> Quille
         fibers[m.images[:-1]].append(m)
     maximum_failures = []
     for rho in Q:
-        fiber = fibers.get(rho.images, [])
+        # what is left in fibers afterwards are restrictions missing from Q
+        fiber = fibers.pop(rho.images, [])
         try:
             top = fiber_maximum(rho, H)
         except ValueError:
@@ -445,22 +471,27 @@ def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> Quille
         if any(not m.pointwise_le(top) for m in fiber):
             maximum_failures.append((str(rho), "fiber member above predicted maximum"))
     pair_failures = []
-    pairs = 0
-    rank = Q.target_rank.__getitem__
-    # faces(img) follows frozenset order, which hash randomisation moves
-    subsets = cache(lambda img: sorted(faces(img), key=lambda f: sorted(map(rank, f))))
-    for eta in P:
-        for images in product(*map(subsets, eta.images[:-1])):
-            rho = Multihom(domain=Q.domain, images=images)
-            if rho not in Q:
-                raise AssertionError(
-                    "a sub-multihomomorphism is missing from the poset; "
-                    "enumeration was incomplete"
-                )
-            pairs += 1
-            candidate = Multihom(domain=P.domain, images=images + (eta.images[-1],))
-            if candidate not in P:
-                pair_failures.append((str(rho), str(eta), "candidate not a multihom"))
+    if not fibers and all(
+        Multihom(P.domain, images) in P for eta in P for images in _drops(eta.images, n - 1)
+    ):
+        pairs = sum(prod((1 << len(img)) - 1 for img in eta.images[:-1]) for eta in P)
+    else:
+        pairs = 0
+        rank = Q.target_rank.__getitem__
+        # faces(img) follows frozenset order, which hash randomisation moves
+        subsets = cache(lambda img: sorted(faces(img), key=lambda f: sorted(map(rank, f))))
+        for eta in P:
+            for images in product(*map(subsets, eta.images[:-1])):
+                rho = Multihom(domain=Q.domain, images=images)
+                if rho not in Q:
+                    raise AssertionError(
+                        "a sub-multihomomorphism is missing from the poset; "
+                        "enumeration was incomplete"
+                    )
+                pairs += 1
+                candidate = Multihom(domain=P.domain, images=images + (eta.images[-1],))
+                if candidate not in P:
+                    pair_failures.append((str(rho), str(eta), "candidate not a multihom"))
     return QuillenReport(
         n=n,
         fibers_checked=len(Q),

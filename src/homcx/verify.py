@@ -32,7 +32,6 @@ from .graphs import (
     neighborhood_complex,
 )
 from .hom import (
-    Multihom,
     check_quillen_conditions,
     common_neighbor_witness,
     enumerate_hom,
@@ -94,11 +93,11 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _brute_common_neighbors(H: Graph, eta: Multihom) -> frozenset:
-    """The vertices adjacent to every image member, by a scan over all
-    vertices (independent of common_neighborhood): w is adjacent to each
-    member exactly when the members lie in N(w)."""
-    members = frozenset().union(*eta.images)
+def _brute_common_neighbors(H: Graph, members: frozenset) -> frozenset:
+    """The vertices adjacent to every one of ``members``, the union of
+    an eta's images, by a scan over all vertices (independent of
+    common_neighborhood): w is adjacent to each member exactly when the
+    members lie in N(w).  It depends on eta only through that union."""
     return frozenset(w for w in H.vertices if members <= H.neighbors(w))
 
 
@@ -228,10 +227,15 @@ def _suite_prop_4_1(fixtures, n, cap):
         H = build_g_kx(X, 1)
         checked = 0
         failures = []
+        # the scan's answer for each distinct union of images, this fixture only
+        brute_by_union: dict[frozenset, frozenset] = {}
         for m in ns:
             P = enumerate_hom(complete_graph(m), H, cap=cap)
             for eta in P:
-                brute = _brute_common_neighbors(H, eta)
+                members = frozenset().union(*eta.images)
+                brute = brute_by_union.get(members)
+                if brute is None:
+                    brute = brute_by_union[members] = _brute_common_neighbors(H, members)
                 trace = common_neighbor_witness(eta, H)
                 checked += 1
                 if not brute or trace.witness not in brute:

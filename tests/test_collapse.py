@@ -138,6 +138,28 @@ def test_replay_rejects_an_end_complex_on_a_foreign_vertex():
         replay_certificate(bad)
 
 
+@pytest.mark.parametrize("change", ["extra", "missing"])
+def test_replay_rejects_an_end_complex_one_facet_off(change):
+    """A triangle boundary with the whisker {3,4} collapses onto the
+    boundary; an end that keeps the removed vertex {4}, or drops the edge
+    {1,2}, is not where the replay lands."""
+    X = SimplicialComplex([[1, 2], [1, 3], [2, 3], [3, 4]])
+    core, cert = greedy_collapse(X)
+    assert core == core_fixture("boundary_delta2")
+    facets = [f for f in core.facets if f != frozenset([1, 2])]
+    end = SimplicialComplex([*core.facets, [4]] if change == "extra" else facets)
+    bad = CollapseCertificate(start=cert.start, end=end, stages=cert.stages)
+    with pytest.raises(ValueError, match="replay did not reach the certified end complex"):
+        replay_certificate(bad)
+
+
+def test_replay_leaves_the_end_complex_unclosed():
+    F = kl_filtration(core_fixture("rp2"))
+    cert = verify_kl_collapse_sequence(F)
+    assert replay_certificate(cert)
+    assert "simplex" not in vars(cert.end.masks)
+
+
 def test_kl_filtration_of_triangle_boundary():
     F = kl_filtration(core_fixture("boundary_delta2"))
     assert [render_label(s) for s in F.order] == [

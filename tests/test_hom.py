@@ -394,6 +394,45 @@ def test_quillen_conditions_on_edge_complex():
         check_quillen_conditions(2, G)
 
 
+def test_quillen_pairs_in_closed_form_on_rp2():
+    """Hom(K3, G(rp2)) is closed under one-vertex drops, so its 2,389,123
+    pairs are counted, not generated one by one."""
+    G = build_g_kx(core_fixture("rp2"), 1)
+    rep = check_quillen_conditions(3, G)
+    assert rep.passed
+    assert rep.pairs_checked == 2389123
+    assert rep.fibers_checked == len(enumerate_hom(complete_graph(2), G))
+
+
+@pytest.mark.parametrize("fixture", ["delta1", "boundary_delta2", "delta2"])
+def test_complete_enumerations_never_generate_the_pairs(monkeypatch, fixture):
+    """On a complete enumeration both closure checks hold, so the pair
+    loop and its image subsets are never reached."""
+
+    def no_faces(s):
+        raise AssertionError("the pair loop ran on a complete enumeration")
+
+    monkeypatch.setattr(homcx.hom, "faces", no_faces)
+    assert check_quillen_conditions(3, build_g_kx(core_fixture(fixture), 1)).passed
+
+
+def test_quillen_raises_on_a_restriction_missing_from_a_lossy_hom_k2(monkeypatch):
+    """A Hom(K2, H) that lost the restriction of some eta fails the
+    closure check, and the pair loop names the missing rho."""
+    H = build_g_kx(core_fixture("boundary_delta2"), 1)
+    lost = next(m for m in enumerate_hom(complete_graph(2), H) if str(m) == "({{1}}|{{1}})")
+
+    def lossy(G, H, cap=None):
+        P = enumerate_hom(G, H, cap=cap)
+        if len(G.vertices) == 2:
+            return homcx.hom.HomPoset(P.domain, [m for m in P if m != lost])
+        return P
+
+    monkeypatch.setattr(homcx.hom, "enumerate_hom", lossy)
+    with pytest.raises(AssertionError, match="sub-multihomomorphism is missing"):
+        check_quillen_conditions(3, H)
+
+
 def looped_four_cycle():
     """The 4-cycle 1-3-2-4 with a loop at every vertex.  It is not a
     containment graph, and the paper's induction step fails on it."""
