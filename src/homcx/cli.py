@@ -135,8 +135,6 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.fixture is not None and args.fixtures is not None:
-        raise ValueError("give --fixture or --fixtures, not both")
     fixtures = None
     if args.fixtures is not None:
         fixtures = (
@@ -144,8 +142,6 @@ def _cmd_verify(args) -> int:
             if args.fixtures == "core"
             else tuple(args.fixtures.split(","))
         )
-    if args.fixture is not None:
-        fixtures = (args.fixture,)
     result = run_suite(args.theorem, fixtures=fixtures, n=args.n, cap=args.cap)
     if args.format == "json":
         _emit_json(args, suite_to_dict(result))
@@ -156,7 +152,7 @@ def _cmd_verify(args) -> int:
 
 _CAP_HELP = (
     "cap on the images a Hom enumeration tries, never fewer than the elements "
-    "it finds (default 10^6, or HOMCX_CAP); exit 3 past it"
+    "it finds (default 10^6); exit 3 past it"
 )
 
 
@@ -199,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("theorem", choices=sorted(SUITE_NAMES))
-    p.add_argument("--fixtures", help='"core" or a comma-separated fixture list')
-    p.add_argument("--fixture", help="single fixture name")
+    p.add_argument("--fixtures", help='"core", or fixture names separated by commas')
     p.add_argument("--n", type=int, default=None, help="source clique size")
     p.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     p.add_argument("--format", choices=("text", "json"), default="text")

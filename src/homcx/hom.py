@@ -17,7 +17,6 @@ produces the certifying vertex explicitly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import product, repeat
@@ -25,7 +24,7 @@ from math import prod
 from operator import le
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
-from .canon import canonical_order, label_key, render_label, sorted_labels
+from .canon import label_key, render_label, sorted_labels
 from .graphs import Graph, common_neighborhood, complete_graph
 from .homology import HomologyProfile, chain_complex, chain_homology
 from .simplicial import Poset, SimplicialComplex, faces, order_complex
@@ -63,23 +62,6 @@ class CapExceeded(Exception):
         )
         self.cap = cap
         self.partial_count = partial_count
-
-
-def resolve_cap(cap: int | None = None) -> int:
-    """The enumeration cap on images tried: ``cap`` if given, else
-    HOMCX_CAP, else the default.  A negative cap is bad input."""
-    if cap is None:
-        env = os.environ.get("HOMCX_CAP")
-        if env is None:
-            return DEFAULT_CAP
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ValueError(f"HOMCX_CAP must be an integer, got {env!r}") from exc
-    cap = int(cap)
-    if cap < 0:
-        raise ValueError(f"the enumeration cap must be non-negative, got {cap}")
-    return cap
 
 
 class Multihom(NamedTuple):
@@ -124,14 +106,13 @@ class HomPoset:
     """All multihomomorphisms G -> H, ordered by pointwise inclusion.
 
     The elements keep the order they are given in; :func:`enumerate_hom`
-    gives them in the label order of multihoms."""
+    gives them in the label order of multihoms.  ``target_rank`` is the
+    target graph's canonical order of its vertices, ``H.rank``."""
 
-    def __init__(self, domain: tuple, elements: Iterable[Multihom]):
+    def __init__(self, domain: tuple, elements: Iterable[Multihom], target_rank: Mapping):
         self.domain = tuple(domain)
         self.elements = tuple(elements)
-        _, self.target_rank = canonical_order(
-            frozenset().union(*(img for m in self.elements for img in m.images))
-        )
+        self.target_rank = target_rank
         self._index = {m: i for i, m in enumerate(self.elements)}
         self._poset: Poset | None = None
 
@@ -240,8 +221,8 @@ def _grown_images(
     vertex ``has_later`` neighbors (their images must lie in it), or when
     it is ``looped`` and S leaves it (S must be a reflexive clique).  Both
     pass from S to every superset, so no element is lost.  With neither
-    flag nothing is pruned, and the meets are skipped.  Every subset
-    tried is yielded, a pruned one as None, so the caller counts the work.
+    flag nothing is pruned.  Every subset tried is yielded, a pruned one
+    as None, so the caller counts the work.
     """
     nbrs = [H.neighbors(v) for v in pool]
     end = len(pool)
@@ -254,12 +235,9 @@ def _grown_images(
             yield None
             continue
         yield images + (S,)
-        children = reversed(range(nxt, end))
-        if has_later or looped:
-            todo.extend((i + 1, S.union((pool[i],)), meet & nbrs[i]) for i in children)
-        else:
-            # nothing prunes, so nothing reads cn(S)
-            todo.extend((i + 1, S.union((pool[i],)), meet) for i in children)
+        todo.extend(
+            (i + 1, S.union((pool[i],)), meet & nbrs[i]) for i in reversed(range(nxt, end))
+        )
 
 
 def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
@@ -280,7 +258,9 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
     element is an assignment tried, so a run within the cap has at most
     ``cap`` elements.
     """
-    cap = resolve_cap(cap)
+    cap = DEFAULT_CAP if cap is None else int(cap)
+    if cap < 0:
+        raise ValueError(f"the enumeration cap must be non-negative, got {cap}")
     gverts = G.vertices
     # the positions of each source vertex's neighbors that come before it
     earlier = [[j for j in range(i) if G.has_edge(u, gverts[j])] for i, u in enumerate(gverts)]
@@ -316,7 +296,7 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
             break
         else:
             stack.pop()
-    return HomPoset(domain=gverts, elements=found)
+    return HomPoset(domain=gverts, elements=found, target_rank=H.rank)
 
 
 def hom_order_complex(P: HomPoset) -> SimplicialComplex:
@@ -333,7 +313,7 @@ def hom_homology(P: HomPoset) -> HomologyProfile:
     simplices on its images and whose face poset is P, so its cellular
     homology is that of the order complex of P.  The boundary is the
     product rule of :func:`~homcx.homology.chain_complex`, with each image
-    sorted by the poset's canonical order of the target vertices.
+    sorted by the target graph's canonical order of its vertices.
     """
     cells, columns = chain_complex((m.images for m in P), P.target_rank)
     return chain_homology([len(by_dim) for by_dim in cells], columns)

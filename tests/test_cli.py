@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -12,13 +14,15 @@ import pytest
 from homcx import (
     SimplicialComplex,
     build_g_kx,
+    complete_graph,
     core_fixture,
+    enumerate_hom,
     greedy_collapse,
     neighborhood_complex,
     run_suite,
     save_complex,
 )
-from homcx.cli import main
+from homcx.cli import build_parser, main
 
 
 def run(capsys, argv):
@@ -138,15 +142,20 @@ def test_hom_command_cap_exit_code(capsys, tmp_path, circle_file):
     assert code == 3
 
 
-def test_hom_command_negative_cap_is_bad_input(capsys, tmp_path, circle_file, monkeypatch):
+def test_hom_command_negative_cap_is_bad_input(capsys, tmp_path, circle_file):
     run(capsys, ["g1x", circle_file, "-o", str(tmp_path / "g.json")])
     code, _, err = run(capsys, ["hom", "--g", "K2", "--cap", "-1", str(tmp_path / "g.json")])
     assert code == 2
     assert "non-negative" in err
-    monkeypatch.setenv("HOMCX_CAP", "-1")
-    code, _, err = run(capsys, ["hom", "--g", "K2", str(tmp_path / "g.json")])
-    assert code == 2
-    assert "non-negative" in err
+
+
+def test_the_environment_sets_no_cap(capsys, monkeypatch):
+    """The cap comes from the caller alone; the environment sets none."""
+    monkeypatch.setenv("HOMCX_CAP", "0")
+    H = build_g_kx(core_fixture("boundary_delta2"), 1)
+    assert len(enumerate_hom(complete_graph(2), H)) > 0
+    code, _, _ = run(capsys, ["verify", "thm-1.1", "--fixtures", "point"])
+    assert code == 0
 
 
 def test_collapse_command(capsys, tmp_path):
@@ -180,7 +189,7 @@ def test_klfilt_command(capsys, circle_file):
 
 
 def test_verify_text_and_exit_zero(capsys):
-    code, out, _ = run(capsys, ["verify", "thm-1.2", "--fixture", "delta1"])
+    code, out, _ = run(capsys, ["verify", "thm-1.2", "--fixtures", "delta1"])
     assert code == 0
     assert "[PASS] delta1" in out
     assert "overall: PASS" in out
@@ -198,7 +207,7 @@ def test_verify_json(capsys):
 def test_verify_runs_are_reproducible(capsys):
     outs = []
     for _ in range(2):
-        code, out, _ = run(capsys, ["verify", "prop-collapse", "--fixture", "boundary_delta2"])
+        code, out, _ = run(capsys, ["verify", "prop-collapse", "--fixtures", "boundary_delta2"])
         assert code == 0
         outs.append("\n".join(l for l in out.splitlines() if "wall time" not in l))
     assert outs[0] == outs[1]
@@ -221,24 +230,16 @@ def test_non_string_edge_endpoint_exit_code(capsys, tmp_path, command):
 
 
 def test_bad_fixture_name_exit_code(capsys):
-    code, _, err = run(capsys, ["verify", "thm-1.2", "--fixture", "moebius"])
+    code, _, err = run(capsys, ["verify", "thm-1.2", "--fixtures", "moebius"])
     assert code == 2
-
-
-def test_fixture_and_fixtures_together_are_bad_input(capsys):
-    argv = ["verify", "prop-3.1", "--fixture", "point", "--fixtures", "delta1,rp2"]
-    code, out, err = run(capsys, argv)
-    assert code == 2
-    assert not out
-    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "thm-1.3", "--fixture", "point", "--n", "0"],
-        ["verify", "quillen", "--fixture", "point", "--n", "0"],
-        ["verify", "prop-4.1", "--fixture", "point", "--n", "0"],
+        ["verify", "thm-1.3", "--fixtures", "point", "--n", "0"],
+        ["verify", "quillen", "--fixtures", "point", "--n", "0"],
+        ["verify", "prop-4.1", "--fixtures", "point", "--n", "0"],
         ["verify", "prop-3.1", "--fixtures", ""],
     ],
 )
@@ -251,8 +252,8 @@ def test_zero_and_empty_arguments_are_not_defaults(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "thm-1.3", "--fixture", "boundary_delta2", "--n", "2"],
-        ["verify", "prop-4.1", "--fixture", "boundary_delta2", "--n", "1"],
+        ["verify", "thm-1.3", "--fixtures", "boundary_delta2", "--n", "2"],
+        ["verify", "prop-4.1", "--fixtures", "boundary_delta2", "--n", "1"],
     ],
 )
 def test_source_clique_below_the_statement_is_bad_input(capsys, argv):
@@ -265,7 +266,7 @@ def test_source_clique_below_the_statement_is_bad_input(capsys, argv):
     "suite", ["fold", "thm-1.1", "thm-1.2", "lemma-hom-nbhd", "prop-3.1", "prop-collapse"]
 )
 def test_source_clique_size_on_a_suite_without_one_is_bad_input(capsys, suite):
-    code, out, err = run(capsys, ["verify", suite, "--fixture", "point", "--n", "5"])
+    code, out, err = run(capsys, ["verify", suite, "--fixtures", "point", "--n", "5"])
     assert code == 2
     assert not out
     assert err.startswith("error:") and err.count("\n") == 1
@@ -274,9 +275,9 @@ def test_source_clique_size_on_a_suite_without_one_is_bad_input(capsys, suite):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "prop-collapse", "--fixture", "delta1", "--cap", "-1"],
+        ["verify", "prop-collapse", "--fixtures", "delta1", "--cap", "-1"],
         ["verify", "thm-1.2", "--cap", "5"],
-        ["verify", "prop-3.1", "--fixture", "point", "--cap", "0"],
+        ["verify", "prop-3.1", "--fixtures", "point", "--cap", "0"],
     ],
 )
 def test_cap_on_a_suite_that_enumerates_nothing_is_bad_input(capsys, argv):
@@ -286,15 +287,9 @@ def test_cap_on_a_suite_that_enumerates_nothing_is_bad_input(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_ambient_cap_does_not_reach_a_suite_that_enumerates_nothing(capsys, monkeypatch):
-    monkeypatch.setenv("HOMCX_CAP", "5")
-    code, _, _ = run(capsys, ["verify", "thm-1.2", "--fixture", "delta1"])
-    assert code == 0
-
-
 def test_thm_1_3_reaches_boundary_delta3(capsys):
     code, out, _ = run(
-        capsys, ["verify", "thm-1.3", "--fixture", "boundary_delta3", "--format", "json"]
+        capsys, ["verify", "thm-1.3", "--fixtures", "boundary_delta3", "--format", "json"]
     )
     assert code == 0
     (report,) = json.loads(out)["reports"]
@@ -306,7 +301,7 @@ def test_thm_1_3_reaches_boundary_delta3(capsys):
 
 def test_quillen_reaches_boundary_delta3(capsys):
     code, out, _ = run(
-        capsys, ["verify", "quillen", "--fixture", "boundary_delta3", "--format", "json"]
+        capsys, ["verify", "quillen", "--fixtures", "boundary_delta3", "--format", "json"]
     )
     assert code == 0
     (report,) = json.loads(out)["reports"]
@@ -319,7 +314,7 @@ def test_lemma_hom_nbhd_reaches_rp2(capsys):
     """Hom(K2, G(rp2)) has the torsion of rp2: its first source vertex draws
     from all 31 vertices, so only a pruned enumeration gets through."""
     code, out, _ = run(
-        capsys, ["verify", "lemma-hom-nbhd", "--fixture", "rp2", "--format", "json"]
+        capsys, ["verify", "lemma-hom-nbhd", "--fixtures", "rp2", "--format", "json"]
     )
     assert code == 0
     (report,) = json.loads(out)["reports"]
@@ -332,7 +327,7 @@ def test_cap_bounds_the_images_tried_on_rp2(capsys):
     """The cap counts images tried, so a capped run on rp2 stops at once
     and names the count."""
     start = time.perf_counter()
-    code, _, err = run(capsys, ["verify", "thm-1.1", "--fixture", "rp2", "--cap", "1000"])
+    code, _, err = run(capsys, ["verify", "thm-1.1", "--fixtures", "rp2", "--cap", "1000"])
     assert time.perf_counter() - start < 10
     assert code == 3
     assert "tried 1001 images" in err
@@ -366,7 +361,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     commands = [
         ["collapse", str(nbhd)],
         ["sd", "-k", "2", str(space)],
-        ["verify", "prop-collapse", "--fixture", "rp2", "--format", "json"],
+        ["verify", "prop-collapse", "--fixtures", "rp2", "--format", "json"],
     ]
     src = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -383,3 +378,14 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         return outs
 
     assert outputs("0") == outputs("12345")
+
+
+def test_readme_command_lines_parse():
+    """Every homcx line in README.md's code blocks, comment cut off, is
+    one the parser accepts."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [l for b in blocks for l in b.splitlines() if l.startswith("homcx ")]
+    assert len(lines) >= 14
+    for line in lines:
+        build_parser().parse_args(shlex.split(line.split("#")[0])[1:])

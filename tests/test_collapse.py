@@ -2,6 +2,7 @@
 
 import pytest
 
+import homcx.verify
 from homcx import (
     CORE_FIXTURE_NAMES,
     CollapseCertificate,
@@ -21,6 +22,7 @@ from homcx import (
     profiles_equal,
     render_label,
     replay_certificate,
+    run_suite,
     verify_kl_collapse_sequence,
 )
 
@@ -158,6 +160,23 @@ def test_replay_leaves_the_end_complex_unclosed():
     cert = verify_kl_collapse_sequence(F)
     assert replay_certificate(cert)
     assert "simplex" not in vars(cert.end.masks)
+
+
+def test_prop_collapse_counts_the_end_without_closing_it(monkeypatch):
+    """The suite's end size is the start less the replayed intervals, so
+    the end complex is never closed."""
+    filtrations = []
+    build = homcx.verify.kl_filtration
+
+    def capture(X):
+        filtrations.append(build(X))
+        return filtrations[-1]
+
+    monkeypatch.setattr(homcx.verify, "kl_filtration", capture)
+    (report,) = run_suite("prop-collapse", ("rp2",)).reports
+    (F,) = filtrations
+    assert report.artifacts["end_simplices"] == 12187
+    assert "simplex" not in vars(F.complexes[-1].masks)
 
 
 def test_kl_filtration_of_triangle_boundary():

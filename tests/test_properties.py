@@ -322,7 +322,7 @@ def hom_by_scan(G, H):
     tuples = product(faces(H.vertices), repeat=len(G.vertices))
     elements = [Multihom(G.vertices, images) for images in tuples]
     survivors = [m for m in elements if is_multihom(G, H, m)]
-    return HomPoset(G.vertices, canonical_order(survivors)[0])
+    return HomPoset(G.vertices, canonical_order(survivors)[0], H.rank)
 
 
 # the scan tries (2^|H| - 1)^|G| tuples: at most 961 for the sources on
@@ -561,7 +561,7 @@ def quillen_losing(monkeypatch, H, lost):
     def lossy(G, H, cap=None):
         P = complete(G, H, cap=cap)
         if len(G.vertices) == 3:
-            return HomPoset(P.domain, [m for m in P if m != lost])
+            return HomPoset(P.domain, [m for m in P if m != lost], P.target_rank)
         return P
 
     monkeypatch.setattr("homcx.hom.enumerate_hom", lossy)
