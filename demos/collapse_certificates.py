@@ -44,7 +44,7 @@ cert = verify_kl_collapse_sequence(F)
 for i, stage in enumerate(cert.stages):
     print(f"stage {i + 1}:")
     for step in stage:
-        print("  free face", show(step.pair.tau), "under facet", show(step.pair.sigma))
+        print("  free face", show(step.tau), "under facet", show(step.sigma))
 print()
 print("certificate replays cleanly:", replay_certificate(cert))
 

@@ -43,7 +43,6 @@ from .homology import (
 from .collapse import (
     CollapseCertificate,
     CollapseStep,
-    CollapsiblePair,
     Filtration,
     StalledCollapse,
     certificate_to_dict,

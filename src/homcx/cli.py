@@ -14,7 +14,7 @@ import json
 import re
 import sys
 
-from .collapse import certificate_to_dict, greedy_collapse, kl_filtration
+from .collapse import StalledCollapse, certificate_to_dict, greedy_collapse, kl_filtration
 from .canon import render_label
 from .fixtures import CORE_FIXTURE_NAMES, looped_edge_graph
 from .graphs import (
@@ -34,7 +34,6 @@ from .simplicial import (
     load_complex,
 )
 from .verify import SUITE_NAMES, run_suite, suite_to_dict, suite_to_text
-from .collapse import StalledCollapse
 
 __all__ = ["main"]
 

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable
+from typing import NamedTuple
 
 from .canon import render_label
 from .graphs import Graph, build_g_kx
 from .simplicial import SimplicialComplex, complex_to_dict, faces, render_simplex
 
 __all__ = [
-    "CollapsiblePair",
     "CollapseStep",
     "CollapseCertificate",
     "Filtration",
@@ -49,21 +48,21 @@ class StalledCollapse(Exception):
         self.stuck = stuck
 
 
-@dataclass(frozen=True)
-class CollapsiblePair:
+class CollapseStep(NamedTuple):
+    """An elementary collapse: a facet and a free face of it."""
+
     sigma: frozenset  # the facet
     tau: frozenset  # its free face
 
 
 @dataclass(frozen=True)
-class CollapseStep:
-    pair: CollapsiblePair
-    removed: tuple  # the closed interval [tau, sigma], canonical order
-
-
-@dataclass(frozen=True)
 class CollapseCertificate:
-    """A sequence of collapses, grouped into stages, from start to end."""
+    """A sequence of collapses, grouped into stages, from start to end.
+
+    A step is its pair (sigma, tau), both simplices of the start
+    complex.  The interval [tau, sigma] it removes is not stored: it is
+    derived from the start complex's mask view by :meth:`removed`.
+    """
 
     start: SimplicialComplex
     end: SimplicialComplex
@@ -73,8 +72,15 @@ class CollapseCertificate:
     def steps(self) -> tuple:
         return tuple(s for stage in self.stages for s in stage)
 
+    def removed(self, step: CollapseStep) -> tuple:
+        """The interval [tau, sigma] of one of this certificate's steps,
+        in canonical order, as simplices of the start complex."""
+        view = self.start.masks
+        masks = view.interval(view.mask(step.tau), view.mask(step.sigma))
+        return tuple(map(view.simplex.__getitem__, masks))
+
     def removed_in_stage(self, i: int) -> frozenset:
-        return frozenset(s for step in self.stages[i] for s in step.removed)
+        return frozenset(s for step in self.stages[i] for s in self.removed(step))
 
 
 @dataclass(frozen=True)
@@ -92,14 +98,6 @@ class Filtration:
     q: int
     complexes: tuple
     graph: Graph
-
-
-def _step(label: dict, sigma: int, tau: int, removed: Iterable[int]) -> CollapseStep:
-    """A certificate step, with the complex's own simplices for masks."""
-    return CollapseStep(
-        pair=CollapsiblePair(sigma=label[sigma], tau=label[tau]),
-        removed=tuple(map(label.__getitem__, removed)),
-    )
 
 
 def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCertificate]:
@@ -173,7 +171,7 @@ def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCe
         S.remove(tau)
         unlink(sigma)
         unlink(tau)
-        steps.append(_step(label, sigma, tau, (tau, sigma)))
+        steps.append(CollapseStep(label[sigma], label[tau]))
     result = SimplicialComplex(map(label.__getitem__, S))
     cert = CollapseCertificate(start=X, end=result, stages=(tuple(steps),))
     return result, cert
@@ -258,7 +256,7 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
             if not outside.issuperset(removed):
                 raise stall("a collapse would remove part of the next complex")
             S.difference_update(removed)
-            steps.append(_step(label, sigma, tau, removed))
+            steps.append(CollapseStep(label[sigma], label[tau]))
 
         first_sigma = mask(F.graph.neighbors(sig))
         first_tau = (first_sigma or 0) & ~sig_bit
@@ -298,14 +296,11 @@ def replay_certificate(cert: CollapseCertificate) -> bool:
     label, mask = view.simplex, view.mask
     S = set(label)
     for n, step in enumerate(cert.steps):
-        tau = mask(step.pair.tau)
+        tau = mask(step.tau)
         sigma = None if tau is None else view.free_facet(S, tau)
-        if sigma is None or label[sigma] != step.pair.sigma:
+        if sigma is None or label[sigma] != step.sigma:
             raise ValueError(f"step {n}: pair is not collapsible at replay time")
-        removed = view.interval(tau, sigma)
-        if tuple(map(label.__getitem__, removed)) != step.removed:
-            raise ValueError(f"step {n}: removed interval does not match")
-        S.difference_update(removed)
+        S.difference_update(view.interval(tau, sigma))
     # the end complex in the start's view, as the nonempty submasks of its
     # facets' masks, so cert.end itself is never closed
     tops = list(map(mask, cert.end.facets))
@@ -328,9 +323,9 @@ def certificate_to_dict(cert: CollapseCertificate) -> dict:
         "stages": [
             [
                 {
-                    "facet": render_simplex(X, step.pair.sigma),
-                    "free_face": render_simplex(X, step.pair.tau),
-                    "removed": [render_simplex(X, r) for r in step.removed],
+                    "facet": render_simplex(X, step.sigma),
+                    "free_face": render_simplex(X, step.tau),
+                    "removed": [render_simplex(X, r) for r in cert.removed(step)],
                 }
                 for step in stage
             ]

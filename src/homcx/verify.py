@@ -82,10 +82,8 @@ def collapsed_profile(X: SimplicialComplex) -> tuple[HomologyProfile, int, int]:
     after.  Kept only for the neighborhood side of thm-1.2, whose report
     prints those counts; every other profile is the homology of the
     complex itself or, on the Hom side, of its cells."""
-    before = len(X) if X.dim >= 0 else 0
     core, _ = greedy_collapse(X)
-    after = len(core) if core.dim >= 0 else 0
-    return homology(core), before, after
+    return homology(core), len(X), len(core)
 
 
 def _digest(payload: dict) -> str:
@@ -199,8 +197,10 @@ def _suite_prop_collapse(fixtures, n, cap):
             "stages": len(cert.stages),
             "steps": len(cert.steps),
             "start_simplices": len(F.complexes[0]),
-            # replay has shown that the start less the removed intervals is the end
-            "end_simplices": len(F.complexes[0]) - sum(len(s.removed) for s in cert.steps),
+            # replay has shown that the start less the removed intervals is
+            # the end; the interval [tau, sigma] has 2^|sigma - tau| simplices
+            "end_simplices": len(F.complexes[0])
+            - sum(2 ** (len(s.sigma) - len(s.tau)) for s in cert.steps),
             "certificate_sha256": _digest(certificate_to_dict(cert)),
         }
 

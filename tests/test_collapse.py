@@ -6,7 +6,6 @@ import homcx.verify
 from homcx import (
     CORE_FIXTURE_NAMES,
     CollapseCertificate,
-    CollapsiblePair,
     CollapseStep,
     Filtration,
     SimplicialComplex,
@@ -35,7 +34,7 @@ def free_face_pairs(X):
     for tau in X.simplices():
         over = [sigma for sigma in X.facets if tau <= sigma]
         if len(over) == 1 and over[0] != tau:
-            pairs.append(CollapsiblePair(sigma=over[0], tau=tau))
+            pairs.append(CollapseStep(sigma=over[0], tau=tau))
 
     def key(s):
         return len(s), sorted(map(X.rank.__getitem__, s))
@@ -98,19 +97,20 @@ def test_homology_constant_along_certificate():
         core, cert = greedy_collapse(X)
         S = set(X.simplex_set())
         for step in cert.steps:
-            S.difference_update(step.removed)
+            S.difference_update(cert.removed(step))
             now = homology(SimplicialComplex(S))
             assert profiles_equal(now, want), name
 
 
 def test_replay_detects_tampering():
-    X = core_fixture("delta1")
-    core, cert = greedy_collapse(X)
-    assert len(cert.steps) == 1
-    bad_pair = CollapsiblePair(sigma=frozenset([1, 2]), tau=frozenset([2]))
-    bad_step = CollapseStep(pair=bad_pair, removed=cert.steps[0].removed)
-    bad = CollapseCertificate(start=cert.start, end=cert.end, stages=((bad_step,),))
-    with pytest.raises(ValueError):
+    """The first step of the solid triangle's greedy certificate, taken
+    twice: its pair is gone by the second time."""
+    _, cert = greedy_collapse(core_fixture("delta2"))
+    first = cert.steps[0]
+    bad = CollapseCertificate(
+        start=cert.start, end=cert.end, stages=((first,) + cert.stages[0],)
+    )
+    with pytest.raises(ValueError, match="step 1: pair is not collapsible"):
         replay_certificate(bad)
 
 
@@ -124,8 +124,7 @@ def test_replay_detects_tampering():
 def test_replay_rejects_a_pair_on_a_foreign_vertex(sigma, tau):
     X = core_fixture("delta1")
     _, cert = greedy_collapse(X)
-    pair = CollapsiblePair(sigma=frozenset(sigma), tau=frozenset(tau))
-    step = CollapseStep(pair=pair, removed=(pair.tau, pair.sigma))
+    step = CollapseStep(sigma=frozenset(sigma), tau=frozenset(tau))
     bad = CollapseCertificate(start=cert.start, end=cert.end, stages=((step,),))
     with pytest.raises(ValueError, match="not collapsible"):
         replay_certificate(bad)
@@ -241,6 +240,21 @@ def test_kl_collapse_verifies_and_replays_on_fixtures():
         for i in range(len(cert.stages)):
             diff = set(F.complexes[i].simplex_set()) - set(F.complexes[i + 1].simplex_set())
             assert set(cert.removed_in_stage(i)) == diff, (name, i)
+
+
+@pytest.mark.parametrize("name", CORE_FIXTURE_NAMES)
+def test_removed_intervals_partition_start_minus_end(name):
+    """The intervals a certificate's steps remove, derived from its start
+    complex, are pairwise disjoint and make up the start less the end."""
+    X = core_fixture(name)
+    certs = [greedy_collapse(X)[1]]
+    if name != "point":  # the point has no filtration
+        certs.append(verify_kl_collapse_sequence(kl_filtration(X)))
+    for cert in certs:
+        intervals = [cert.removed(step) for step in cert.steps]
+        removed = {s for interval in intervals for s in interval}
+        assert len(removed) == sum(map(len, intervals))
+        assert removed == set(cert.start.simplex_set()) - set(cert.end.simplex_set())
 
 
 def test_kl_collapse_closes_only_the_start_complex():

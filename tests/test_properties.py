@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from homcx import (
     CollapseCertificate,
     CollapseStep,
-    CollapsiblePair,
     Filtration,
     Graph,
     HomologyProfile,
@@ -162,8 +161,8 @@ def test_greedy_collapse_takes_the_canonically_first_free_pair(X):
     core, are the scan's."""
     core, cert = greedy_collapse(X)
     steps, live = greedy_steps_by_scan(X)
-    assert [(s.pair.sigma, s.pair.tau) for s in cert.steps] == steps
-    assert all(s.removed == (s.pair.tau, s.pair.sigma) for s in cert.steps)
+    assert [(s.sigma, s.tau) for s in cert.steps] == steps
+    assert all(cert.removed(s) == interval_by_faces(s.tau, s.sigma) for s in cert.steps)
     assert core.simplex_set() == live
 
 
@@ -419,9 +418,7 @@ def kl_sequence_by_closure(F):
                     stuck=SimplicialComplex(S),
                 )
             S.difference_update(removed)
-            steps.append(
-                CollapseStep(pair=CollapsiblePair(sigma=sigma, tau=tau), removed=removed)
-            )
+            steps.append(CollapseStep(sigma, tau))
 
         first_sigma = frozenset(F.graph.neighbors(sig))
         first_tau = first_sigma - {sig}
@@ -462,11 +459,14 @@ def kl_sequence_by_closure(F):
 
 
 def kl_outcome(verify, F):
-    """The rendered certificate, or where and how the collapse stalled."""
+    """The rendered certificate, whose intervals are checked against the
+    faces between each pair, or where and how the collapse stalled."""
     try:
-        return certificate_to_dict(verify(F))
+        cert = verify(F)
     except StalledCollapse as exc:
         return exc.stage, str(exc), exc.stuck
+    assert all(cert.removed(s) == interval_by_faces(s.tau, s.sigma) for s in cert.steps)
+    return certificate_to_dict(cert)
 
 
 @settings(deadline=None)
