@@ -10,9 +10,14 @@ each stage into an explicit certificate of elementary collapses.
 Collapsing, verifying and replaying all run on the start complex's mask
 view (:class:`homcx.simplicial.MaskView`): a simplex is an int, and
 labels are looked up only for certificate steps and collapsed cores.
-Every certificate can be replayed from the closure of its start complex
-alone.  The filtration verifier closes only the first complex of the
-filtration; each stage target is known by its facets.
+One engine finds collapses: a heap of faces keyed by a live cofacet
+count, which greedy collapse runs on the whole complex and the
+filtration verifier runs stage by stage on what lies outside the next
+complex.  Replay is independent of it: every certificate can be
+replayed from the closure of its start complex alone, each face's
+freeness rechecked by :meth:`MaskView.free_facet`.  The filtration
+verifier closes only the first complex of the filtration; each stage
+target is known by its facets.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import NamedTuple
 
 from .canon import render_label
 from .graphs import Graph, build_g_kx
-from .simplicial import SimplicialComplex, complex_to_dict, faces, render_simplex
+from .simplicial import MaskView, SimplicialComplex, complex_to_dict, faces, render_simplex
 
 __all__ = [
     "CollapseStep",
@@ -100,79 +105,84 @@ class Filtration:
     graph: Graph
 
 
-def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCertificate]:
-    """Collapse free faces until none remain.
+def _collapse_free_pairs(view: MaskView, S: set, within: set, bits: int) -> list[CollapseStep]:
+    """Collapse codimension-one pairs (sigma, tau) inside ``within`` until
+    none is left, taking the canonically first free face tau each time,
+    among those whose cofacet sigma adds a bit of ``bits``.
 
-    Runs on the complex's mask view.  Each simplex carries a live
+    S is a downward-closed set of masks of ``view`` and is shrunk in
+    place; ``within`` is an upward-closed part of S, so every cofacet of
+    a face in it lies in it too.  Each face of ``within`` carries a live
     cofacet count plus the XOR of the vertex bits its cofacets add, so
-    the unique cofacet of a count-one face tau is ``tau | added[tau]``.  A
-    heap pops the canonically first face whose lone cofacet is maximal;
-    stale entries are revalidated on pop.  Each step removes a
-    codimension-one pair, whose interval is just (tau, sigma).  Running
-    dry is conclusive: a face whose only containing facet sits several
-    dimensions up always yields a codimension-one free pair against that
-    facet, so no free face of any kind survives.
+    the cofacet of a count-one face tau is ``tau | added[tau]``, and it
+    is maximal: were sigma + w in S, tau + w would be a second cofacet.
+    A heap pops the canonically first count-one face and rechecks it.
+    Counts only fall, so a face is pushed once, when its count reaches
+    one, and a count-one face whose cofacet adds no bit of ``bits`` never
+    becomes eligible.
     """
-    view = X.masks
     label = view.simplex
-    S = set(label)
-    count = dict.fromkeys(S, 0)
-    added = dict.fromkeys(S, 0)
-    for s in S:
+    count = dict.fromkeys(within, 0)
+    added = dict.fromkeys(within, 0)
+    for s in within:
         rest = s
         while rest:
             b = rest & -rest
             rest ^= b
             f = s ^ b
-            if f:
+            if f in count:
                 count[f] += 1
                 added[f] ^= b
 
     # the heap holds key(f) = popcount(f)·2^n − f, from which -key & full
     # recovers f
     key, full = view.key, (1 << view.n) - 1
-    heap = [key(f) for f in S if count[f] == 1]
+    heap = [key(f) for f, c in count.items() if c == 1]
     heapq.heapify(heap)
     push = heapq.heappush
     steps: list[CollapseStep] = []
 
     def unlink(gamma: int) -> None:
-        """Take gamma, already out of S, off the counts of its faces."""
+        """Take gamma, already out of the counts, off those of its faces."""
         rest = gamma
         while rest:
             b = rest & -rest
             rest ^= b
             f = gamma ^ b
-            if f not in S:
-                continue
-            c = count[f] = count[f] - 1
-            added[f] ^= b
-            if c == 1:
-                push(heap, key(f))
-            elif c == 0:
-                # f just became maximal; its count-one faces may be free now
-                below = f
-                while below:
-                    w = below & -below
-                    below ^= w
-                    g = f ^ w
-                    if g in S and count[g] == 1:
-                        push(heap, key(g))
+            if f in count:
+                c = count[f] = count[f] - 1
+                added[f] ^= b
+                if c == 1:
+                    push(heap, key(f))
 
     while heap:
         tau = -heapq.heappop(heap) & full
-        if tau not in S or count[tau] != 1:
+        if count.get(tau) != 1 or not added[tau] & bits:
             continue
         sigma = tau | added[tau]
-        if count[sigma]:
-            continue
-        # tau leaves with sigma, so it is never pushed as a new maximum
+        del count[sigma], count[tau]
         S.remove(sigma)
         S.remove(tau)
         unlink(sigma)
         unlink(tau)
         steps.append(CollapseStep(label[sigma], label[tau]))
-    result = SimplicialComplex(map(label.__getitem__, S))
+    return steps
+
+
+def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCertificate]:
+    """Collapse free faces until none remain.
+
+    Runs :func:`_collapse_free_pairs` on the complex's mask view over
+    all of it, with any cofacet allowed: each step removes the
+    canonically first codimension-one free pair (tau, sigma).  Running
+    dry is conclusive: a face whose only containing facet sits several
+    dimensions up always yields a codimension-one free pair against that
+    facet, so no free face of any kind survives.
+    """
+    view = X.masks
+    S = set(view.simplex)
+    steps = _collapse_free_pairs(view, S, S, (1 << view.n) - 1)
+    result = SimplicialComplex(map(view.simplex.__getitem__, S))
     cert = CollapseCertificate(start=X, end=result, stages=(tuple(steps),))
     return result, cert
 
@@ -216,12 +226,14 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
     sigma_l, and certify every stage.
 
     Stage l first collapses (N(sigma_l), N(sigma_l) minus sigma_l), then
-    repeatedly collapses (sigma, sigma minus sigma_l) for the canonically
-    first sigma whose reduced face is free, restarting after each
-    removal.  Only simplices outside K_{l+1} are eligible: freeness alone
-    does not stop the scan from eating into the target complex, which
-    also has pairs of this shape.  Raises StalledCollapse, carrying the
-    stuck complex, if a stage cannot reach its target.
+    runs the engine of :func:`greedy_collapse` on what is left outside
+    K_{l+1}, with only cofacets that add sigma_l allowed: each step
+    collapses (sigma, sigma minus sigma_l) for the canonically first such
+    pair whose reduced face is free.  Only simplices outside K_{l+1} are
+    eligible: freeness alone does not stop the collapse from eating into
+    the target complex, which also has pairs of this shape.  Raises
+    StalledCollapse, carrying the stuck complex, if a stage cannot reach
+    its target.
 
     Only K_1 is closed into a simplex set; that set, as masks of K_1's
     view, is carried from stage to stage.  Each target K_{l+1} is known
@@ -242,7 +254,6 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
         # lacks is in neither
         outside = {mask(s) for s in _faces_outside(F.complexes[l - 1], target)}
         outside.discard(None)
-        steps: list[CollapseStep] = []
 
         def stall(message: str) -> StalledCollapse:
             return StalledCollapse(
@@ -251,34 +262,19 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
                 stuck=SimplicialComplex(map(label.__getitem__, S)),
             )
 
-        def apply(sigma: int, tau: int):
-            removed = view.interval(tau, sigma)
-            if not outside.issuperset(removed):
-                raise stall("a collapse would remove part of the next complex")
-            S.difference_update(removed)
-            steps.append(CollapseStep(label[sigma], label[tau]))
-
         first_sigma = mask(F.graph.neighbors(sig))
         first_tau = (first_sigma or 0) & ~sig_bit
         if not first_tau or view.free_facet(S, first_tau) != first_sigma:
             raise stall(
                 f"the neighborhood of {render_label(sig)} has no free reduced face"
             )
-        apply(first_sigma, first_tau)
-        candidates = sorted((s for s in outside if s & sig_bit and s in S), key=view.key)
-        progressed = True
-        while progressed:
-            progressed = False
-            for sigma in candidates:
-                if sigma not in S:
-                    continue
-                tau = sigma ^ sig_bit
-                if not tau or tau not in outside:
-                    continue
-                if view.free_facet(S, tau) == sigma:
-                    apply(sigma, tau)
-                    progressed = True
-                    break
+        if not outside.issuperset((first_sigma, first_tau)):
+            raise stall("a collapse would remove part of the next complex")
+        S.difference_update((first_sigma, first_tau))
+        steps = [CollapseStep(label[first_sigma], label[first_tau])]
+        # what is left of S minus K_{l+1} is still upward-closed in S, so
+        # the engine's pairs never reach into K_{l+1}
+        steps += _collapse_free_pairs(view, S, outside & S, sig_bit)
         # nothing under a facet of K_{l+1} was removed, so S equals K_{l+1}
         # exactly when it holds those facets and nothing outside them
         if not all(mask(f) in S for f in target.facets) or not S.isdisjoint(outside):

@@ -24,6 +24,7 @@ from homcx import (
     run_suite,
     verify_kl_collapse_sequence,
 )
+from homcx.simplicial import MaskView
 
 
 def free_face_pairs(X):
@@ -270,6 +271,21 @@ def test_kl_collapse_on_projective_plane():
     cert = verify_kl_collapse_sequence(F)
     assert len(cert.stages) == 25
     assert replay_certificate(cert)
+
+
+def test_kl_collapse_checks_freeness_once_per_stage(monkeypatch):
+    """Only each stage's forced first pair is checked by a scan over the
+    vertices; the rest of the stage is found from live cofacet counts."""
+    calls = []
+    free_facet = MaskView.free_facet
+
+    def counted(self, S, tau):
+        calls.append(tau)
+        return free_facet(self, S, tau)
+
+    monkeypatch.setattr(MaskView, "free_facet", counted)
+    cert = verify_kl_collapse_sequence(kl_filtration(core_fixture("rp2")))
+    assert len(calls) <= len(cert.stages)  # 25 stages
 
 
 def test_kl_collapse_stalls_on_tampered_target():
