@@ -18,7 +18,7 @@ produces the certifying vertex explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import product, repeat
 from math import prod
 from operator import le
@@ -113,7 +113,6 @@ class HomPoset:
         self.domain = tuple(domain)
         self.elements = tuple(elements)
         self.target_rank = target_rank
-        self._index = {m: i for i, m in enumerate(self.elements)}
         self._poset: Poset | None = None
 
     def __len__(self) -> int:
@@ -121,6 +120,11 @@ class HomPoset:
 
     def __iter__(self):
         return iter(self.elements)
+
+    @cached_property
+    def _index(self) -> dict:
+        """Each element's position, built on the first lookup."""
+        return {m: i for i, m in enumerate(self.elements)}
 
     def __contains__(self, m: Multihom) -> bool:
         return m in self._index
@@ -210,34 +214,56 @@ def is_multihom(G: Graph, H: Graph, eta: Multihom | Mapping) -> bool:
     return True
 
 
-def _grown_images(
-    images: tuple, H: Graph, pool: list, has_later: bool, looped: bool
-) -> Iterator[tuple | None]:
-    """``images`` extended by each nonempty subset S of ``pool``, grown one
-    vertex at a time in pool order, depth first.
+class _Images(dict):
+    """Each image's frozenset by its mask over the target's ranks (rank r
+    is bit r), built on first use, so equal images are one object."""
 
-    S carries its common neighborhood, one meet per added vertex.  A
-    branch is pruned when that neighborhood is empty and the source
-    vertex ``has_later`` neighbors (their images must lie in it), or when
-    it is ``looped`` and S leaves it (S must be a reflexive clique).  Both
-    pass from S to every superset, so no element is lost.  With neither
-    flag nothing is pruned.  Every subset tried is yielded, a pruned one
-    as None, so the caller counts the work.
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: tuple):
+        super().__init__()
+        self.vertices = vertices
+
+    def __missing__(self, mask: int) -> frozenset:
+        img = self[mask] = frozenset(v for r, v in enumerate(self.vertices) if mask >> r & 1)
+        return img
+
+
+def _grown_images(
+    images: tuple, meets: tuple, pool: int, nbrs: list, interned: _Images,
+    has_later: bool, looped: bool,
+) -> Iterator[tuple | None]:
+    """``images`` and ``meets`` extended by each nonempty subset S of the
+    rank mask ``pool`` and its common neighborhood, S grown one vertex at
+    a time in rank order, depth first.
+
+    S carries its common neighborhood as a mask, one AND with ``nbrs``
+    (the neighbor mask of each rank) per added vertex.  A branch is
+    pruned when that neighborhood is empty and the source vertex
+    ``has_later`` neighbors (their images must lie in it), or when it is
+    ``looped`` and S leaves it (S must be a reflexive clique).  Both pass
+    from S to every superset, so no element is lost.  With neither flag
+    nothing is pruned.  Every subset tried is yielded, a pruned one as
+    None, so the caller counts the work.
     """
-    nbrs = [H.neighbors(v) for v in pool]
-    end = len(pool)
+    bits = []
+    while pool:
+        low = pool & -pool
+        bits.append(low)
+        pool ^= low
+    cns = [nbrs[b.bit_length() - 1] for b in bits]
+    end = len(bits)
     # (next pool position, S, cn(S)); children are pushed last-first, so
     # the S come out in the order of their sorted ranks
-    todo = [(i + 1, frozenset((pool[i],)), nbrs[i]) for i in reversed(range(end))]
+    todo = [(i + 1, bits[i], cns[i]) for i in reversed(range(end))]
     while todo:
         nxt, S, meet = todo.pop()
-        if (has_later and not meet) or (looped and not meet >= S):
+        if (has_later and not meet) or (looped and meet & S != S):
             yield None
             continue
-        yield images + (S,)
-        todo.extend(
-            (i + 1, S.union((pool[i],)), meet & nbrs[i]) for i in reversed(range(nxt, end))
-        )
+        yield images + (interned[S],), meets + (meet,)
+        if nxt < end:
+            todo.extend((i + 1, S | bits[i], meet & cns[i]) for i in reversed(range(nxt, end)))
 
 
 def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
@@ -245,12 +271,14 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
 
     Source vertices are processed in canonical order; the image of the
     next vertex is a nonempty subset of the common neighborhood of the
-    images already assigned to its neighbors.  Each image grows one
+    images already assigned to its neighbors, the AND of the masks over
+    the target's ranks that those images carry.  Each image grows one
     target vertex at a time, in rank order, and a branch is pruned as
     soon as no superset can be an image (:func:`_grown_images`; a vertex
-    with no later neighbor and no loop prunes nothing).  Extensions wait
-    on a stack, not in recursion, and are taken depth first, so the
-    elements come out in the label order of multihoms.
+    with no later neighbor and no loop prunes nothing).  Each distinct
+    image is one frozenset, shared by every element that has it.
+    Extensions wait on a stack, not in recursion, and are taken depth
+    first, so the elements come out in the label order of multihoms.
 
     The cap bounds the work: every partial assignment tried counts, kept
     or pruned, the empty one at the root included, and CapExceeded is
@@ -268,31 +296,36 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
     for js in earlier:
         for j in js:
             has_later[j] = True
+    looped = [G.has_loop(u) for u in gverts]
+    nbrs = [sum(1 << H.rank[w] for w in H.neighbors(v)) for v in H.vertices]
+    everything = (1 << len(nbrs)) - 1
+    interned = _Images(H.vertices)
     found: list[Multihom] = []
     tried = 0
-    stack: list[Iterator[tuple | None]] = [iter([()])]
+    stack: list[Iterator[tuple | None]] = [iter([((), ())])]
     while stack:
         # siblings come from one iterator; a node with children pushes
         # theirs and breaks, and the loop resumes it when they run out
-        for images in stack[-1]:
+        for node in stack[-1]:
             tried += 1
             if tried > cap:
                 raise CapExceeded(cap=cap, partial_count=tried)
-            if images is None:
+            if node is None:
                 continue
+            images, meets = node
             idx = len(images)
             if idx == len(gverts):
                 found.append(Multihom(domain=gverts, images=images))
                 continue
-            fixed = [images[j] for j in earlier[idx]]
-            # cn(A | B) = cn(A) & cn(B): one meet over all fixed images
-            pool = common_neighborhood(H, frozenset().union(*fixed)) if fixed else H.vertices
+            # cn(A | B) = cn(A) & cn(B): one AND per fixed image
+            pool = everything
+            for j in earlier[idx]:
+                pool &= meets[j]
             if not pool:
                 continue
-            # grown in the target's order, the multihoms come out in
-            # HomPoset's order and the work count is the same every run
-            pool = sorted(pool, key=H.rank.__getitem__)
-            stack.append(_grown_images(images, H, pool, has_later[idx], G.has_loop(gverts[idx])))
+            stack.append(
+                _grown_images(images, meets, pool, nbrs, interned, has_later[idx], looped[idx])
+            )
             break
         else:
             stack.pop()
@@ -340,23 +373,10 @@ def fiber_maximum(rho: Multihom, H: Graph) -> Multihom:
     return Multihom(domain=tuple(range(1, n + 1)), images=rho.images + (meet,))
 
 
-def common_neighbor_witness(eta: Multihom, H: Graph) -> WitnessTrace:
-    """Build a common neighbor of all images of eta constructively.
-
-    Pick the image of smallest minimum dimension, fuse its
-    minimum-dimension members into tau_0, then repeatedly fuse in every
-    remaining member incomparable with the current tau.  The resulting
-    vertex is comparable with every member of every image; membership in
-    the actual common neighborhood is asserted before returning.
-    """
-    images = eta.images
-    union = frozenset().union(*images)
-    if not all(map(isinstance, union, repeat(frozenset))):
-        raise ValueError("witness construction needs simplex-valued target vertices")
-    mins = [min(map(len, img)) for img in images]
-    low = min(mins)
-    k = mins.index(low) + 1
-    chosen = images[k - 1]
+def _fusion(k: int, chosen: frozenset, low: int, H: Graph) -> WitnessTrace:
+    """The fusion on image ``k``, ``chosen``, whose smallest members have
+    ``low`` vertices: fuse those into tau_0, then repeatedly fuse in
+    every remaining member incomparable with the current tau."""
     if len(chosen) > 1:
         # H.vertices is in label_key order, which among equal sizes is the
         # canonical simplex order; the second sort is stable
@@ -380,22 +400,58 @@ def common_neighbor_witness(eta: Multihom, H: Graph) -> WitnessTrace:
         tau_chain.append(tau)
         merged = set(family)
         remaining = [s for s in remaining if s not in merged]
-    witness = tau
-    # adjacency is symmetric: witness lies in cn(img) iff img lies in N(witness)
-    near = H.neighbors(witness) if witness in H.rank else frozenset()
-    if not union <= near:
-        i = next(i for i, img in enumerate(images, start=1) if not img <= near)
-        raise AssertionError(
-            f"constructed witness {render_label(witness)} misses the "
-            f"neighborhood of image {i}"
-        )
     return WitnessTrace(
         k=k,
         i1=i1,
         tau_chain=tuple(tau_chain),
         s_families=tuple(s_families),
-        witness=witness,
+        witness=tau,
     )
+
+
+def common_neighbor_witness(eta: Multihom, H: Graph, memo: dict | None = None) -> WitnessTrace:
+    """Build a common neighbor of all images of eta constructively.
+
+    Pick the image of smallest minimum dimension, fuse its
+    minimum-dimension members into tau_0, then repeatedly fuse in every
+    remaining member incomparable with the current tau.  The resulting
+    vertex is comparable with every member of every image; membership in
+    the actual common neighborhood is asserted, image by image, before
+    returning.
+
+    The fusion depends only on k and the k-th image.  ``memo``, a dict
+    the caller keeps for one target graph H, holds each image's
+    validated minimum member size and each fusion by (k, image), so
+    etas that share them fuse once; the neighborhood check runs on every
+    call.
+    """
+    if memo is None:
+        memo = {}
+    images = eta.images
+    mins = []
+    for img in images:
+        low = memo.get(img)
+        if low is None:
+            if not all(map(isinstance, img, repeat(frozenset))):
+                raise ValueError("witness construction needs simplex-valued target vertices")
+            low = memo[img] = min(map(len, img))
+        mins.append(low)
+    low = min(mins)
+    k = mins.index(low) + 1
+    key = (k, images[k - 1])
+    trace = memo.get(key)
+    if trace is None:
+        trace = memo[key] = _fusion(k, images[k - 1], low, H)
+    witness = trace.witness
+    # adjacency is symmetric: witness lies in cn(img) iff img lies in N(witness)
+    near = H.neighbors(witness) if witness in H.rank else frozenset()
+    for i, img in enumerate(images, start=1):
+        if not img <= near:
+            raise AssertionError(
+                f"constructed witness {render_label(witness)} misses the "
+                f"neighborhood of image {i}"
+            )
+    return trace
 
 
 def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> QuillenReport:

@@ -230,6 +230,8 @@ def _suite_prop_4_1(fixtures, n, cap):
         failures = []
         # the scan's answer for each distinct union of images, this fixture only
         brute_by_union: dict[frozenset, frozenset] = {}
+        # each image's minimum size and each fusion, this fixture only
+        witness_memo: dict = {}
         for m in ns:
             P = enumerate_hom(complete_graph(m), H, cap=cap)
             for eta in P:
@@ -237,7 +239,7 @@ def _suite_prop_4_1(fixtures, n, cap):
                 brute = brute_by_union.get(members)
                 if brute is None:
                     brute = brute_by_union[members] = _brute_common_neighbors(H, members)
-                trace = common_neighbor_witness(eta, H)
+                trace = common_neighbor_witness(eta, H, witness_memo)
                 checked += 1
                 if not brute or trace.witness not in brute:
                     failures.append(str(eta))

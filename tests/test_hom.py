@@ -7,10 +7,12 @@ from itertools import combinations, product
 import pytest
 
 import homcx.hom
+import homcx.verify
 from homcx import (
     CapExceeded,
     Graph,
     Multihom,
+    WitnessTrace,
     build_g_kx,
     check_quillen_conditions,
     common_neighbor_witness,
@@ -317,28 +319,97 @@ def test_fiber_maximum_error_paths():
         fiber_maximum(skewed, C4)
 
 
+def oracle_witness(eta, H):
+    """The common-neighbor construction run afresh for one eta, with no
+    memo: the image of smallest minimum dimension is fused as in
+    :func:`common_neighbor_witness`, and the trace compared with its."""
+    images = eta.images
+    assert all(isinstance(s, frozenset) for img in images for s in img)
+    mins = [min(map(len, img)) for img in images]
+    low = min(mins)
+    k = mins.index(low) + 1
+    members = sorted(sorted(images[k - 1], key=H.rank.__getitem__), key=len)
+    i1 = [len(s) for s in members].count(low)
+    tau = frozenset().union(*members[:i1])
+    tau_chain = [tau]
+    remaining = members[i1:]
+    s_families = [tuple(remaining)]
+    while remaining:
+        family = tuple(s for s in remaining if not (s <= tau or tau <= s))
+        s_families.append(family)
+        if not family:
+            break
+        tau = tau | frozenset().union(*family)
+        tau_chain.append(tau)
+        remaining = [s for s in remaining if s not in family]
+    return WitnessTrace(
+        k=k, i1=i1, tau_chain=tuple(tau_chain), s_families=tuple(s_families), witness=tau
+    )
+
+
+@pytest.mark.parametrize("fixture", ["delta2", "wedge_triangles", "boundary_delta3"])
+def test_witness_matches_the_fresh_construction_on_every_eta(fixture):
+    H = build_g_kx(core_fixture(fixture), 1)
+    memo = {}
+    for n in (2, 3):
+        for eta in enumerate_hom(complete_graph(n), H):
+            want = oracle_witness(eta, H)
+            assert common_neighbor_witness(eta, H) == want, (fixture, str(eta))
+            assert common_neighbor_witness(eta, H, memo) == want, (fixture, str(eta))
+
+
+def test_equal_images_are_one_object():
+    """Hom(K3, G(boundary_delta3)) builds each distinct image once."""
+    P = enumerate_hom(complete_graph(3), build_g_kx(core_fixture("boundary_delta3"), 1))
+    first = {}
+    for eta in P:
+        for img in eta.images:
+            assert first.setdefault(img, img) is img
+    assert (len(P), len(first)) == (13142, 830)
+
+
+def test_prop_4_1_fuses_once_per_distinct_key(monkeypatch):
+    """prop-4.1 checks every eta, but its memo on boundary_delta3 holds
+    one fusion per distinct (k, image) and one minimum per image."""
+    memos = []
+
+    def spy(eta, H, memo=None):
+        if not any(m is memo for m in memos):
+            memos.append(memo)
+        return common_neighbor_witness(eta, H, memo)
+
+    monkeypatch.setattr(homcx.verify, "common_neighbor_witness", spy)
+    report = homcx.verify.run_suite("prop-4.1", fixtures=["boundary_delta3"]).reports[0]
+    assert report.passed
+    assert report.artifacts["etas_checked"] == 16144
+    [memo] = memos
+    assert sum(isinstance(key, tuple) for key in memo) == 1672
+    assert sum(isinstance(key, frozenset) for key in memo) == 830
+
+
 def test_witness_trace_on_hand_checked_inputs():
     G = build_g_kx(core_fixture("delta1"), 1)
     f1, f12 = frozenset([1]), frozenset([1, 2])
-
-    tr = common_neighbor_witness(
-        Multihom(domain=(1, 2), images=(frozenset([f1]), frozenset([f12]))), G
-    )
-    assert tr.k == 1
-    assert tr.tau_chain == (f1,)
-    assert tr.witness == f1
-
     both = frozenset([f1, f12])
-    tr2 = common_neighbor_witness(Multihom(domain=(1, 2), images=(both, both)), G)
-    assert tr2.k == 1
-    assert tr2.tau_chain == (f1,)
-    assert tr2.s_families[0] == (f12,)
-    assert tr2.witness == f1
+    # with no memo, and with one memo for G shared by the three calls
+    for memo in (None, {}):
+        tr = common_neighbor_witness(
+            Multihom(domain=(1, 2), images=(frozenset([f1]), frozenset([f12]))), G, memo
+        )
+        assert tr.k == 1
+        assert tr.tau_chain == (f1,)
+        assert tr.witness == f1
 
-    tr3 = common_neighbor_witness(
-        Multihom(domain=(1, 2), images=(frozenset([f1]), frozenset([f1]))), G
-    )
-    assert tr3.witness == f1
+        tr2 = common_neighbor_witness(Multihom(domain=(1, 2), images=(both, both)), G, memo)
+        assert tr2.k == 1
+        assert tr2.tau_chain == (f1,)
+        assert tr2.s_families[0] == (f12,)
+        assert tr2.witness == f1
+
+        tr3 = common_neighbor_witness(
+            Multihom(domain=(1, 2), images=(frozenset([f1]), frozenset([f1]))), G, memo
+        )
+        assert tr3.witness == f1
 
 
 def test_witness_lies_in_every_neighborhood():
@@ -353,8 +424,11 @@ def test_witness_lies_in_every_neighborhood():
 
 def test_witness_needs_simplex_labels():
     eta = Multihom(domain=(1, 2), images=(frozenset([1]), frozenset([2])))
-    with pytest.raises(ValueError):
-        common_neighbor_witness(eta, complete_graph(3))
+    # a memo keeps no image that failed, so a second call fails again
+    for memo, calls in ((None, 1), ({}, 2)):
+        for _ in range(calls):
+            with pytest.raises(ValueError, match="simplex-valued"):
+                common_neighbor_witness(eta, complete_graph(3), memo)
 
 
 @pytest.mark.parametrize("fused_is_a_vertex", [False, True])
@@ -362,7 +436,8 @@ def test_witness_off_the_neighborhoods_fails_its_assertion(fused_is_a_vertex):
     """On the complete reflexive graph of the singletons {1}, {2}, {3}, the
     fused witness {1,2} of ({{1},{2}}|{{3}}) is no vertex at all, or, once
     added next to {1} alone, no common neighbor: both are assertion
-    failures, not a lookup error."""
+    failures, not a lookup error.  A memo keeps the fusion, not the
+    check, so a second call with it fails again."""
     s1, s2, s3, s12 = (frozenset(v) for v in ([1], [2], [3], [1, 2]))
     vertices = [s1, s2, s3]
     edges = [(a, b) for a in vertices for b in vertices]
@@ -370,8 +445,10 @@ def test_witness_off_the_neighborhoods_fails_its_assertion(fused_is_a_vertex):
         vertices, edges = vertices + [s12], edges + [(s1, s12)]
     H = Graph(vertices, edges)
     eta = Multihom(domain=(1, 2), images=(frozenset([s1, s2]), frozenset([s3])))
-    with pytest.raises(AssertionError, match="misses the neighborhood of image 1"):
-        common_neighbor_witness(eta, H)
+    for memo, calls in ((None, 1), ({}, 2)):
+        for _ in range(calls):
+            with pytest.raises(AssertionError, match="misses the neighborhood of image 1"):
+                common_neighbor_witness(eta, H, memo)
 
 
 def test_quillen_conditions_on_edge_complex():
