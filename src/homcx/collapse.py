@@ -7,17 +7,21 @@ neighborhood complex of the containment graph of X and the union of the
 closed vertex stars, one simplex of X at a time, and the verifier turns
 each stage into an explicit certificate of elementary collapses.
 
-Collapsing, verifying and replaying all run on the start complex's mask
-view (:class:`homcx.simplicial.MaskView`): a simplex is an int, and
-labels are looked up only for certificate steps and collapsed cores.
-One engine finds collapses: a heap of faces keyed by a live cofacet
-count, which greedy collapse runs on the whole complex and the
-filtration verifier runs stage by stage on what lies outside the next
-complex.  Replay is independent of it: every certificate can be
-replayed from the closure of its start complex alone, each face's
-freeness rechecked by :meth:`MaskView.free_facet`.  The filtration
-verifier closes only the first complex of the filtration; each stage
-target is known by its facets.
+Collapsing, verifying, replaying and rendering all run on the start
+complex's mask view (:class:`homcx.simplicial.MaskView`): a simplex is an
+int, and labels are looked up only for certificate steps and collapsed
+cores.  One engine finds collapses: a heap of faces, each face holding
+one packed int, its live cofacet count above the bits its cofacets add.
+Greedy collapse runs it on the whole complex, with each face's state
+read off the union of the facets over it; the filtration verifier runs
+it stage by stage on what lies outside the next complex, with the states
+counted bit by bit, since that set is no closure.  Replay is independent
+of it: every certificate can be replayed from the closure of its start
+complex alone, each face's freeness rechecked by
+:meth:`MaskView.free_facet`.  The filtration verifier closes only the
+first complex of the filtration; each stage target is known by its
+facets, and what lies outside it is found by submasks of facet masks.
+A certificate renders each start vertex once and its steps from masks.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import NamedTuple
 
 from .canon import render_label
 from .graphs import Graph, build_g_kx
-from .simplicial import MaskView, SimplicialComplex, complex_to_dict, faces, render_simplex
+from .simplicial import MaskView, SimplicialComplex, complex_to_dict
 
 __all__ = [
     "CollapseStep",
@@ -105,62 +109,54 @@ class Filtration:
     graph: Graph
 
 
-def _collapse_free_pairs(view: MaskView, S: set, within: set, bits: int) -> list[CollapseStep]:
-    """Collapse codimension-one pairs (sigma, tau) inside ``within`` until
-    none is left, taking the canonically first free face tau each time,
-    among those whose cofacet sigma adds a bit of ``bits``.
+def _collapse_free_pairs(view: MaskView, S: set, state: dict, bits: int) -> list[CollapseStep]:
+    """Collapse codimension-one pairs (sigma, tau) inside the faces of
+    ``state`` until none is left, taking the canonically first free face
+    tau each time, among those whose cofacet sigma adds a bit of ``bits``.
 
     S is a downward-closed set of masks of ``view`` and is shrunk in
-    place; ``within`` is an upward-closed part of S, so every cofacet of
-    a face in it lies in it too.  Each face of ``within`` carries a live
-    cofacet count plus the XOR of the vertex bits its cofacets add, so
-    the cofacet of a count-one face tau is ``tau | added[tau]``, and it
-    is maximal: were sigma + w in S, tau + w would be a second cofacet.
-    A heap pops the canonically first count-one face and rechecks it.
-    Counts only fall, so a face is pushed once, when its count reaches
-    one, and a count-one face whose cofacet adds no bit of ``bits`` never
-    becomes eligible.
+    place.  ``state`` holds an upward-closed part of S, so every cofacet
+    of a face in it lies in it too, and maps each of its faces to one
+    packed int, ``count << n | added``: the face's live cofacet count
+    and the vertex bits its cofacets add, one bit each.  The cofacet of
+    a count-one face tau is then ``tau | added``, and it is maximal: were
+    sigma + w in S, tau + w would be a second cofacet.  Dropping the
+    cofacet through bit b takes ``1 << n`` and b off the state.  A heap
+    pops the canonically first count-one face and rechecks it.  Counts
+    only fall, so a face is pushed once, when its count reaches one, and
+    a count-one face whose cofacet adds no bit of ``bits`` never becomes
+    eligible.  ``state`` is consumed.
     """
     label = view.simplex
-    count = dict.fromkeys(within, 0)
-    added = dict.fromkeys(within, 0)
-    for s in within:
-        rest = s
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            f = s ^ b
-            if f in count:
-                count[f] += 1
-                added[f] ^= b
-
-    # the heap holds key(f) = popcount(f)·2^n − f, from which -key & full
+    n = view.n
+    one, low = 1 << n, (1 << n) - 1
+    # the heap holds the key popcount(f)·2^n − f, from which -key & low
     # recovers f
-    key, full = view.key, (1 << view.n) - 1
-    heap = [key(f) for f, c in count.items() if c == 1]
+    heap = [(f.bit_count() << n) - f for f, st in state.items() if st >> n == 1]
     heapq.heapify(heap)
-    push = heapq.heappush
+    pop, push = heapq.heappop, heapq.heappush
     steps: list[CollapseStep] = []
 
     def unlink(gamma: int) -> None:
-        """Take gamma, already out of the counts, off those of its faces."""
+        """Take gamma, already out of the states, off those of its faces."""
         rest = gamma
         while rest:
             b = rest & -rest
             rest ^= b
             f = gamma ^ b
-            if f in count:
-                c = count[f] = count[f] - 1
-                added[f] ^= b
-                if c == 1:
-                    push(heap, key(f))
+            st = state.get(f)
+            if st is not None:
+                st = state[f] = (st - one) ^ b
+                if st >> n == 1:
+                    push(heap, (f.bit_count() << n) - f)
 
     while heap:
-        tau = -heapq.heappop(heap) & full
-        if count.get(tau) != 1 or not added[tau] & bits:
+        tau = -pop(heap) & low
+        st = state.get(tau)
+        if st is None or st >> n != 1 or not st & bits:
             continue
-        sigma = tau | added[tau]
-        del count[sigma], count[tau]
+        sigma = tau | st & low
+        del state[sigma], state[tau]
         S.remove(sigma)
         S.remove(tau)
         unlink(sigma)
@@ -169,19 +165,56 @@ def _collapse_free_pairs(view: MaskView, S: set, within: set, bits: int) -> list
     return steps
 
 
+def _facet_union_state(tops: list[int], n: int) -> dict:
+    """The engine's state of every face of the complex with facet masks
+    ``tops``, from the union U of the facets over each face f: the
+    cofacets of f are f plus one bit of U ^ f each, so count(f) is the
+    popcount of U ^ f and added(f) is U ^ f."""
+    union: dict[int, int] = {}
+    get = union.get
+    for top in tops:
+        sub = top
+        while sub:
+            union[sub] = get(sub, 0) | top
+            sub = (sub - 1) & top
+    return {f: (u ^ f).bit_count() << n | u ^ f for f, u in union.items()}
+
+
+def _cofacet_state(within: set, n: int) -> dict:
+    """The engine's state of each face of ``within``, an upward-closed
+    part of a downward-closed set, by a pass over the bits of every
+    face: each face adds one to the count of each of its facets in
+    ``within``, and its own bit to that facet's added bits."""
+    one = 1 << n
+    state = dict.fromkeys(within, 0)
+    for s in within:
+        rest = s
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            f = s ^ b
+            if f in state:
+                state[f] += one | b
+    return state
+
+
 def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCertificate]:
     """Collapse free faces until none remain.
 
     Runs :func:`_collapse_free_pairs` on the complex's mask view over
     all of it, with any cofacet allowed: each step removes the
-    canonically first codimension-one free pair (tau, sigma).  Running
-    dry is conclusive: a face whose only containing facet sits several
-    dimensions up always yields a codimension-one free pair against that
-    facet, so no free face of any kind survives.
+    canonically first codimension-one free pair (tau, sigma).  The
+    starting state comes from the facets alone, one walk over the
+    submasks of each (:func:`_facet_union_state`), with no pass over the
+    bits of every face.  Running dry is conclusive: a face whose only
+    containing facet sits several dimensions up always yields a
+    codimension-one free pair against that facet, so no free face of any
+    kind survives.
     """
     view = X.masks
     S = set(view.simplex)
-    steps = _collapse_free_pairs(view, S, S, (1 << view.n) - 1)
+    state = _facet_union_state(list(map(view.mask, X.facets)), view.n)
+    steps = _collapse_free_pairs(view, S, state, (1 << view.n) - 1)
     result = SimplicialComplex(map(view.simplex.__getitem__, S))
     cert = CollapseCertificate(start=X, end=result, stages=(tuple(steps),))
     return result, cert
@@ -210,15 +243,26 @@ def kl_filtration(X: SimplicialComplex) -> Filtration:
     return Filtration(order=order, p=p, q=q, complexes=tuple(complexes), graph=G)
 
 
-def _faces_outside(A: SimplicialComplex, B: SimplicialComplex) -> set:
-    """The simplices of A that lie under no facet of B.
+def _faces_outside(tops: list[int], over: list[int]) -> set:
+    """The nonempty submasks of the masks ``tops`` that lie under none of
+    the masks ``over``.
 
-    Only a facet of A that lies under no facet of B can have such faces,
-    so only those facets are expanded.
+    Only a top under no mask of ``over`` can have such submasks, so only
+    those are expanded, each submask tested against the parts of
+    ``over`` within its top that no other such part contains.
     """
-    return {
-        s for f in A.facets if not B.covers(f) for s in faces(f) if not B.covers(s)
-    }
+    outside = set()
+    for top in tops:
+        caps = {top & g for g in over}
+        if top in caps:
+            continue
+        caps = [c for c in caps if not any(c | d == d != c for d in caps)]
+        sub = top
+        while sub:
+            if not any(sub | c == c for c in caps):
+                outside.add(sub)
+            sub = (sub - 1) & top
+    return outside
 
 
 def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
@@ -240,20 +284,32 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
     by its facets: since the set equals K_l when stage l starts, what
     lies outside K_{l+1} is exactly the faces of K_l's facets under no
     facet of K_{l+1}, which on a genuine filtration are faces of
-    N(sigma_l) alone.
+    N(sigma_l) alone.  Those are found on masks: a simplex of K_1 lies
+    under a facet exactly when it lies under the facet's vertices in K_1,
+    so each facet is taken as that mask, and a face on a vertex K_1 lacks
+    is in neither set.
     """
     view = F.complexes[0].masks
-    label, mask = view.simplex, view.mask
+    label, mask, bit = view.simplex, view.mask, view.bit
     S = set(label)
+    parts: dict[frozenset, int] = {}
+
+    def tops(K: SimplicialComplex) -> list[int]:
+        """K's facets as masks of their vertices in K_1; the stages share
+        most facet objects, so each is converted once."""
+        for f in K.facets - parts.keys():
+            parts[f] = sum(bit.get(v, 0) for v in f)
+        return list(map(parts.__getitem__, K.facets))
+
+    tops_next = tops(F.complexes[0])
     stages: list[tuple] = []
     for l in range(1, F.p - F.q + 1):
         sig = F.order[l - 1]
-        sig_bit = view.bit.get(sig, 0)
+        sig_bit = bit.get(sig, 0)
         target = F.complexes[l]
-        # S is K_l here, so this is S minus K_{l+1}; a face on a vertex K_1
-        # lacks is in neither
-        outside = {mask(s) for s in _faces_outside(F.complexes[l - 1], target)}
-        outside.discard(None)
+        # S is K_l here, so this is S minus K_{l+1}
+        tops_l, tops_next = tops_next, tops(target)
+        outside = _faces_outside(tops_l, tops_next)
 
         def stall(message: str) -> StalledCollapse:
             return StalledCollapse(
@@ -274,7 +330,8 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
         steps = [CollapseStep(label[first_sigma], label[first_tau])]
         # what is left of S minus K_{l+1} is still upward-closed in S, so
         # the engine's pairs never reach into K_{l+1}
-        steps += _collapse_free_pairs(view, S, outside & S, sig_bit)
+        state = _cofacet_state(outside & S, view.n)
+        steps += _collapse_free_pairs(view, S, state, sig_bit)
         # nothing under a facet of K_{l+1} was removed, so S equals K_{l+1}
         # exactly when it holds those facets and nothing outside them
         if not all(mask(f) in S for f in target.facets) or not S.isdisjoint(outside):
@@ -312,19 +369,32 @@ def replay_certificate(cert: CollapseCertificate) -> bool:
 
 
 def certificate_to_dict(cert: CollapseCertificate) -> dict:
-    X = cert.start
+    """The certificate as JSON data.  Each vertex of the start complex is
+    rendered once; a step's simplices are rendered from their masks,
+    highest bit, so lowest rank, first."""
+    view = cert.start.masks
+    mask = view.mask
+    # bit i of the view is the vertex of rank n - 1 - i
+    names = [render_label(v) for v in reversed(cert.start.vertices)]
+
+    def render(m: int) -> list[str]:
+        out = []
+        while m:
+            i = m.bit_length() - 1
+            out.append(names[i])
+            m ^= 1 << i
+        return out
+
+    def step_to_dict(step: CollapseStep) -> dict:
+        sigma, tau = mask(step.sigma), mask(step.tau)
+        return {
+            "facet": render(sigma),
+            "free_face": render(tau),
+            "removed": list(map(render, view.interval(tau, sigma))),
+        }
+
     return {
         "start": complex_to_dict(cert.start),
         "end": complex_to_dict(cert.end),
-        "stages": [
-            [
-                {
-                    "facet": render_simplex(X, step.sigma),
-                    "free_face": render_simplex(X, step.tau),
-                    "removed": [render_simplex(X, r) for r in cert.removed(step)],
-                }
-                for step in stage
-            ]
-            for stage in cert.stages
-        ],
+        "stages": [list(map(step_to_dict, stage)) for stage in cert.stages],
     }

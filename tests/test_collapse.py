@@ -91,6 +91,13 @@ def test_greedy_collapse_of_subdivided_disc():
     assert replay_certificate(cert)
 
 
+def test_greedy_collapse_of_projective_plane_neighborhood_complex():
+    N = neighborhood_complex(build_g_kx(core_fixture("rp2"), 1))
+    core, cert = greedy_collapse(N)
+    assert (len(N), len(N.facets)) == (13087, 31)
+    assert (len(cert.steps), len(core)) == (6492, 103)
+
+
 def test_homology_constant_along_certificate():
     for name in ("delta2", "path2"):
         X = core_fixture(name)

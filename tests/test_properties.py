@@ -5,10 +5,12 @@ paper's constructions against their definitions."""
 
 from itertools import product
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from homcx import (
+    CORE_FIXTURE_NAMES,
     CollapseCertificate,
     CollapseStep,
     Filtration,
@@ -51,8 +53,9 @@ from homcx import (
     verify_kl_collapse_sequence,
 )
 from homcx.canon import canonical_order
+from homcx.collapse import _cofacet_state, _facet_union_state, _faces_outside
 from homcx.graphs import _maximal_cliques
-from homcx.simplicial import _CoverIndex, faces, maximal_sets
+from homcx.simplicial import _CoverIndex, faces, maximal_sets, render_simplex
 from test_collapse import free_face_pairs
 from test_homology import boundary_matrices
 
@@ -164,6 +167,77 @@ def test_greedy_collapse_takes_the_canonically_first_free_pair(X):
     assert [(s.sigma, s.tau) for s in cert.steps] == steps
     assert all(cert.removed(s) == interval_by_faces(s.tau, s.sigma) for s in cert.steps)
     assert core.simplex_set() == live
+
+
+def cofacet_state_by_bits(within, n):
+    """The collapse engine's packed state of each face of ``within``, by
+    the per-bit loop over every face: a live cofacet count and the XOR of
+    the bits its cofacets add, in two dicts, packed as count << n | added
+    at the end."""
+    count = dict.fromkeys(within, 0)
+    added = dict.fromkeys(within, 0)
+    for s in within:
+        rest = s
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            f = s ^ b
+            if f in count:
+                count[f] += 1
+                added[f] ^= b
+    return {f: count[f] << n | added[f] for f in within}
+
+
+@st.composite
+def overlapping_complexes(draw):
+    """Complexes whose facets share large faces: each facet is one common
+    simplex of up to 8 vertices with up to two of them dropped and up to
+    two others added."""
+    base = draw(st.frozensets(st.integers(1, 10), min_size=3, max_size=8))
+    facets = []
+    for _ in range(draw(st.integers(1, 6))):
+        dropped = draw(st.frozensets(st.sampled_from(sorted(base)), max_size=2))
+        facets.append(base - dropped | draw(st.frozensets(st.integers(1, 10), max_size=2)))
+    return SimplicialComplex(facets)
+
+
+@settings(deadline=None)
+@given(st.one_of(complexes, labelled_complexes, wide_complexes, overlapping_complexes()))
+def test_facet_union_state_matches_the_per_bit_counts(X):
+    """Greedy's starting state, from the union of the facets over each
+    face, is the per-bit count and XOR of every face's cofacets; the
+    verifier's per-bit builder agrees on the whole closure."""
+    view = X.masks
+    by_bits = cofacet_state_by_bits(set(view.simplex), view.n)
+    assert _facet_union_state(list(map(view.mask, X.facets)), view.n) == by_bits
+    assert _cofacet_state(set(view.simplex), view.n) == by_bits
+
+
+def certificate_to_dict_by_labels(cert):
+    """A certificate's steps rendered from their label sets, each vertex
+    rendered afresh."""
+    X = cert.start
+    return [
+        [
+            {
+                "facet": render_simplex(X, step.sigma),
+                "free_face": render_simplex(X, step.tau),
+                "removed": [render_simplex(X, r) for r in cert.removed(step)],
+            }
+            for step in stage
+        ]
+        for stage in cert.stages
+    ]
+
+
+@pytest.mark.parametrize("name", CORE_FIXTURE_NAMES)
+def test_certificate_rendering_from_masks_matches_labels(name):
+    X = core_fixture(name)
+    certs = [greedy_collapse(X)[1], greedy_collapse(neighborhood_complex(build_g_kx(X, 1)))[1]]
+    if X.dim > 0:
+        certs.append(verify_kl_collapse_sequence(kl_filtration(X)))
+    for cert in certs:
+        assert certificate_to_dict(cert)["stages"] == certificate_to_dict_by_labels(cert)
 
 
 @settings(deadline=None)
@@ -515,6 +589,58 @@ def test_kl_collapse_by_facets_matches_the_closures(X, data):
         by_closure = kl_outcome(kl_sequence_by_closure, fake)
         assert isinstance(by_closure, tuple)
         assert kl_outcome(verify_kl_collapse_sequence, fake) == by_closure
+
+
+@pytest.mark.parametrize("name", ["delta1", "path2", "boundary_delta2", "delta2", "wedge_triangles"])
+def test_kl_collapse_against_a_target_facet_partly_on_a_foreign_vertex(name):
+    """A target facet on a vertex K_1 lacks still covers the simplices on
+    its other vertices, as in the closure route: here the first stage's
+    forced free face."""
+    F = kl_filtration(core_fixture(name))
+    Ks = F.complexes
+    tau = F.graph.neighbors(F.order[0]) - {F.order[0]}
+    grown = SimplicialComplex(Ks[1].facets | {tau | {frozenset([0])}})
+    fake = Filtration(order=F.order, p=F.p, q=F.q, complexes=(Ks[0], grown) + Ks[2:], graph=F.graph)
+    by_closure = kl_outcome(kl_sequence_by_closure, fake)
+    assert by_closure[:2] == (1, "stage 1: a collapse would remove part of the next complex")
+    assert kl_outcome(verify_kl_collapse_sequence, fake) == by_closure
+
+
+def faces_outside_by_labels(A, B):
+    """The simplices of A under no facet of B, as label sets: each face of
+    each facet of A under no facet of B, tested with ``covers``."""
+    return {s for f in A.facets if not B.covers(f) for s in faces(f) if not B.covers(s)}
+
+
+def assert_faces_outside_match(F):
+    """Every stage of F, and every stage against a target grown by facets
+    on a vertex K_1 lacks (alone, and with a face of the stage's
+    neighborhood), finds the same outside set on masks as on labels."""
+    view = F.complexes[0].masks
+    part = lambda f: sum(view.bit.get(v, 0) for v in f)
+    for l in range(1, len(F.complexes)):
+        A = F.complexes[l - 1]
+        nbhd = sorted(F.graph.neighbors(F.order[l - 1]), key=label_key)
+        foreign = frozenset([frozenset([0])])
+        for B in (
+            F.complexes[l],
+            SimplicialComplex(F.complexes[l].facets | {foreign}),
+            SimplicialComplex(F.complexes[l].facets | {foreign | frozenset(nbhd[:-1])}),
+        ):
+            by_labels = {view.mask(s) for s in faces_outside_by_labels(A, B)} - {None}
+            by_masks = _faces_outside(list(map(part, A.facets)), list(map(part, B.facets)))
+            assert by_masks == by_labels
+
+
+@pytest.mark.parametrize("name", [n for n in CORE_FIXTURE_NAMES if n != "point"])
+def test_faces_outside_on_masks_matches_labels_on_core_filtrations(name):
+    assert_faces_outside_match(kl_filtration(core_fixture(name)))
+
+
+@settings(deadline=None)
+@given(filtered_complexes())
+def test_faces_outside_on_masks_matches_labels(X):
+    assert_faces_outside_match(kl_filtration(X))
 
 
 def quillen_by_scan(n, H):
