@@ -40,11 +40,14 @@ for i, K in enumerate(F.complexes):
     print(f"  K_{i + 1}: {len(K)} simplices, f-vector {K.f_vector()}")
 print()
 
+# A step is a pair of vertex bitmasks of the start complex; its view
+# decodes them back to simplices.
 cert = verify_kl_collapse_sequence(F)
+label = cert.start.masks.label
 for i, stage in enumerate(cert.stages):
     print(f"stage {i + 1}:")
     for step in stage:
-        print("  free face", show(step.tau), "under facet", show(step.sigma))
+        print("  free face", show(label(step.tau)), "under facet", show(label(step.sigma)))
 print()
 print("certificate replays cleanly:", replay_certificate(cert))
 

@@ -9,19 +9,22 @@ each stage into an explicit certificate of elementary collapses.
 
 Collapsing, verifying, replaying and rendering all run on the start
 complex's mask view (:class:`homcx.simplicial.MaskView`): a simplex is an
-int, and labels are looked up only for certificate steps and collapsed
-cores.  One engine finds collapses: a heap of faces, each face holding
-one packed int, its live cofacet count above the bits its cofacets add.
+int, a certificate step is a pair of ints, and labels are decoded only
+for a collapsed core, a stuck complex and the intervals
+:meth:`CollapseCertificate.removed` reports.  One engine finds
+collapses: a heap of faces, each face holding one packed int, its live
+cofacet count above the bits its cofacets add.
 Greedy collapse runs it on the whole complex, with each face's state
 read off the union of the facets over it; the filtration verifier runs
 it stage by stage on what lies outside the next complex, with the states
 counted bit by bit, since that set is no closure.  Replay is independent
-of it: every certificate can be replayed from the closure of its start
-complex alone, each face's freeness rechecked by
-:meth:`MaskView.free_facet`.  The filtration verifier closes only the
-first complex of the filtration; each stage target is known by its
-facets, and what lies outside it is found by submasks of facet masks.
-A certificate renders each start vertex once and its steps from masks.
+of it: every certificate can be replayed from the mask closure of its
+start complex alone, each free face checked to be a live face and its
+freeness rechecked by :meth:`MaskView.free_facet`.  The filtration
+verifier closes only the first complex of the filtration; each stage
+target is known by its facets, and what lies outside it is found by
+submasks of facet masks.  A certificate renders each start vertex once
+and its steps from their masks.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import NamedTuple
 
 from .canon import render_label
 from .graphs import Graph, build_g_kx
-from .simplicial import MaskView, SimplicialComplex, complex_to_dict
+from .simplicial import MaskView, SimplicialComplex, complex_to_dict, submasks
 
 __all__ = [
     "CollapseStep",
@@ -58,19 +61,21 @@ class StalledCollapse(Exception):
 
 
 class CollapseStep(NamedTuple):
-    """An elementary collapse: a facet and a free face of it."""
+    """An elementary collapse: a facet and a free face of it, as masks
+    of the start complex's view (``cert.start.masks``); decode one with
+    ``cert.start.masks.label``."""
 
-    sigma: frozenset  # the facet
-    tau: frozenset  # its free face
+    sigma: int  # the facet
+    tau: int  # its free face
 
 
 @dataclass(frozen=True)
 class CollapseCertificate:
     """A sequence of collapses, grouped into stages, from start to end.
 
-    A step is its pair (sigma, tau), both simplices of the start
-    complex.  The interval [tau, sigma] it removes is not stored: it is
-    derived from the start complex's mask view by :meth:`removed`.
+    A step is its pair (sigma, tau), both masks of the start complex's
+    view.  The interval [tau, sigma] it removes is not stored: it is
+    derived from that view by :meth:`removed`.
     """
 
     start: SimplicialComplex
@@ -85,8 +90,7 @@ class CollapseCertificate:
         """The interval [tau, sigma] of one of this certificate's steps,
         in canonical order, as simplices of the start complex."""
         view = self.start.masks
-        masks = view.interval(view.mask(step.tau), view.mask(step.sigma))
-        return tuple(map(view.simplex.__getitem__, masks))
+        return tuple(map(view.label, view.interval(step.tau, step.sigma)))
 
     def removed_in_stage(self, i: int) -> frozenset:
         return frozenset(s for step in self.stages[i] for s in self.removed(step))
@@ -127,7 +131,6 @@ def _collapse_free_pairs(view: MaskView, S: set, state: dict, bits: int) -> list
     a count-one face whose cofacet adds no bit of ``bits`` never becomes
     eligible.  ``state`` is consumed.
     """
-    label = view.simplex
     n = view.n
     one, low = 1 << n, (1 << n) - 1
     # the heap holds the key popcount(f)·2^n − f, from which -key & low
@@ -161,7 +164,7 @@ def _collapse_free_pairs(view: MaskView, S: set, state: dict, bits: int) -> list
         S.remove(tau)
         unlink(sigma)
         unlink(tau)
-        steps.append(CollapseStep(label[sigma], label[tau]))
+        steps.append(CollapseStep(sigma, tau))
     return steps
 
 
@@ -206,16 +209,18 @@ def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCe
     canonically first codimension-one free pair (tau, sigma).  The
     starting state comes from the facets alone, one walk over the
     submasks of each (:func:`_facet_union_state`), with no pass over the
-    bits of every face.  Running dry is conclusive: a face whose only
-    containing facet sits several dimensions up always yields a
+    bits of every face, and its faces are the simplex set the engine
+    shrinks: the complex is never closed into labels, and only the
+    surviving core is decoded.  Running dry is conclusive: a face whose
+    only containing facet sits several dimensions up always yields a
     codimension-one free pair against that facet, so no free face of any
     kind survives.
     """
     view = X.masks
-    S = set(view.simplex)
     state = _facet_union_state(list(map(view.mask, X.facets)), view.n)
+    S = set(state)
     steps = _collapse_free_pairs(view, S, state, (1 << view.n) - 1)
-    result = SimplicialComplex(map(view.simplex.__getitem__, S))
+    result = SimplicialComplex(map(view.label, S))
     cert = CollapseCertificate(start=X, end=result, stages=(tuple(steps),))
     return result, cert
 
@@ -279,19 +284,19 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
     StalledCollapse, carrying the stuck complex, if a stage cannot reach
     its target.
 
-    Only K_1 is closed into a simplex set; that set, as masks of K_1's
-    view, is carried from stage to stage.  Each target K_{l+1} is known
-    by its facets: since the set equals K_l when stage l starts, what
-    lies outside K_{l+1} is exactly the faces of K_l's facets under no
-    facet of K_{l+1}, which on a genuine filtration are faces of
-    N(sigma_l) alone.  Those are found on masks: a simplex of K_1 lies
+    Only K_1 is closed, into its view's masks; that set is carried from
+    stage to stage, and decoded to labels only for a stuck complex.  Each
+    target K_{l+1} is known by its facets: since the set equals K_l when
+    stage l starts, what lies outside K_{l+1} is exactly the faces of
+    K_l's facets under no facet of K_{l+1}, which on a genuine filtration
+    are faces of N(sigma_l) alone.  Those are found on masks: a simplex of K_1 lies
     under a facet exactly when it lies under the facet's vertices in K_1,
     so each facet is taken as that mask, and a face on a vertex K_1 lacks
     is in neither set.
     """
     view = F.complexes[0].masks
-    label, mask, bit = view.simplex, view.mask, view.bit
-    S = set(label)
+    mask, bit = view.mask, view.bit
+    S = set(view.closure)
     parts: dict[frozenset, int] = {}
 
     def tops(K: SimplicialComplex) -> list[int]:
@@ -315,7 +320,7 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
             return StalledCollapse(
                 f"stage {l}: {message}",
                 stage=l,
-                stuck=SimplicialComplex(map(label.__getitem__, S)),
+                stuck=SimplicialComplex(map(view.label, S)),
             )
 
         first_sigma = mask(F.graph.neighbors(sig))
@@ -327,7 +332,7 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
         if not outside.issuperset((first_sigma, first_tau)):
             raise stall("a collapse would remove part of the next complex")
         S.difference_update((first_sigma, first_tau))
-        steps = [CollapseStep(label[first_sigma], label[first_tau])]
+        steps = [CollapseStep(first_sigma, first_tau)]
         # what is left of S minus K_{l+1} is still upward-closed in S, so
         # the engine's pairs never reach into K_{l+1}
         state = _cofacet_state(outside & S, view.n)
@@ -344,26 +349,20 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
 
 def replay_certificate(cert: CollapseCertificate) -> bool:
     """Re-run a certificate from its start complex on its mask view,
-    revalidating every pair.  Returns True or raises ValueError."""
+    revalidating every pair: its free face must be a live face, and its
+    facet the one facet over it.  Returns True or raises ValueError."""
     view = cert.start.masks
-    label, mask = view.simplex, view.mask
-    S = set(label)
-    for n, step in enumerate(cert.steps):
-        tau = mask(step.tau)
-        sigma = None if tau is None else view.free_facet(S, tau)
-        if sigma is None or label[sigma] != step.sigma:
+    S = set(view.closure)
+    for n, (sigma, tau) in enumerate(cert.steps):
+        # a free face outside S (empty, on a bit the view lacks, or
+        # already removed) has no cofacets to assemble
+        if tau not in S or view.free_facet(S, tau) != sigma:
             raise ValueError(f"step {n}: pair is not collapsible at replay time")
         S.difference_update(view.interval(tau, sigma))
     # the end complex in the start's view, as the nonempty submasks of its
     # facets' masks, so cert.end itself is never closed
-    tops = list(map(mask, cert.end.facets))
-    end = set()
-    for top in tops:
-        sub = top  # None, for a vertex the start lacks, adds nothing
-        while sub:
-            end.add(sub)
-            sub = (sub - 1) & top
-    if None in tops or S != end:
+    tops = list(map(view.mask, cert.end.facets))
+    if None in tops or S != submasks(tops):
         raise ValueError("replay did not reach the certified end complex")
     return True
 
@@ -373,9 +372,7 @@ def certificate_to_dict(cert: CollapseCertificate) -> dict:
     rendered once; a step's simplices are rendered from their masks,
     highest bit, so lowest rank, first."""
     view = cert.start.masks
-    mask = view.mask
-    # bit i of the view is the vertex of rank n - 1 - i
-    names = [render_label(v) for v in reversed(cert.start.vertices)]
+    names = list(map(render_label, view.vertex))
 
     def render(m: int) -> list[str]:
         out = []
@@ -386,7 +383,7 @@ def certificate_to_dict(cert: CollapseCertificate) -> dict:
         return out
 
     def step_to_dict(step: CollapseStep) -> dict:
-        sigma, tau = mask(step.sigma), mask(step.tau)
+        sigma, tau = step
         return {
             "facet": render(sigma),
             "free_face": render(tau),

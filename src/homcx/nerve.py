@@ -14,7 +14,7 @@ from typing import Any, Iterator
 
 from .canon import label_key, render_label
 from .graphs import build_g_kx
-from .simplicial import SimplicialComplex, complex_to_dict
+from .simplicial import SimplicialComplex, complex_to_dict, submasks
 
 __all__ = [
     "Cover",
@@ -60,8 +60,16 @@ def star_cover(X: SimplicialComplex) -> Cover:
 
 def _intersections(cover: Cover) -> Iterator[tuple[tuple, set]]:
     """Every tuple of indices, increasing in label order, whose pieces
-    share a simplex, together with the simplices they share."""
-    sets = {i: set(cover.pieces[i].simplex_set()) for i in cover.index}
+    share a simplex, together with the simplices they share, as masks
+    over one bit per vertex of any piece."""
+    bit: dict[Any, int] = {}
+    for i in cover.index:
+        for v in cover.pieces[i].vertices:
+            bit.setdefault(v, 1 << len(bit))
+    sets = {
+        i: submasks(sum(map(bit.__getitem__, f)) for f in cover.pieces[i].facets)
+        for i in cover.index
+    }
     order = sorted(cover.index, key=label_key)
     stack = [((i,), sets[i]) for i in reversed(order) if sets[i]]
     while stack:
@@ -86,10 +94,11 @@ def cover_union(cover: Cover) -> SimplicialComplex:
 
 
 def _is_full_simplex(simplices: set) -> bool:
-    top = max(simplices, key=len)
-    if not all(s <= top for s in simplices):
+    """Whether a set of masks is every nonempty submask of one mask."""
+    top = max(simplices, key=int.bit_count)
+    if not all(s | top == top for s in simplices):
         return False
-    return len(simplices) == 2 ** len(top) - 1
+    return len(simplices) == 2 ** top.bit_count() - 1
 
 
 def verify_nerve_theorem_hypotheses(cover: Cover) -> NerveHypothesesReport:

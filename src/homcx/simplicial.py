@@ -4,11 +4,11 @@ barycentric subdivision.
 A complex is stored by its facets (inclusion-maximal simplices).
 Simplices are frozensets of vertex labels.  Each complex has one
 :class:`MaskView`, which gives every vertex a bit from its rank (see
-:mod:`homcx.canon`) and holds the downward closure, built from the facets
-on first use.  The view's int key is the one canonical simplex order:
-dimension ascending, then lexicographic on the sorted vertex ranks.
-Algorithms that do set arithmetic on every simplex work on the masks,
-and look the labels up only to report them.
+:mod:`homcx.canon`) and holds the downward closure as masks, built from
+the facets on first use.  The view's int key is the one canonical
+simplex order: dimension ascending, then lexicographic on the sorted
+vertex ranks.  Algorithms that do set arithmetic on every simplex work
+on the masks, and decode a mask to its labels only to report it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,17 @@ def faces(s: Iterable) -> Iterator[frozenset]:
     members = tuple(s)
     sizes = range(1, len(members) + 1)
     return chain.from_iterable(map(frozenset, combinations(members, r)) for r in sizes)
+
+
+def submasks(tops: Iterable[int]) -> set[int]:
+    """The nonempty submasks of the masks ``tops``."""
+    out: set[int] = set()
+    for top in tops:
+        sub = top
+        while sub:
+            out.add(sub)
+            sub = (sub - 1) & top
+    return out
 
 
 class _CoverIndex:
@@ -129,7 +140,7 @@ class SimplicialComplex:
     @cached_property
     def masks(self) -> "MaskView":
         """The complex's closure and simplex order as vertex bitmasks."""
-        return MaskView(self._facets, self.rank)
+        return MaskView(self._facets, self.vertices)
 
     @cached_property
     def covers(self) -> Callable[[frozenset], bool]:
@@ -139,17 +150,18 @@ class SimplicialComplex:
 
     def simplex_set(self) -> frozenset:
         if self._simplex_set is None:
-            self._simplex_set = frozenset(self.masks.simplex.values())
+            view = self.masks
+            self._simplex_set = frozenset(map(view.label, view.closure))
         return self._simplex_set
 
     def simplices(self) -> tuple[frozenset, ...]:
         """All simplices in canonical order."""
         view = self.masks
-        return tuple(map(view.simplex.__getitem__, sorted(view.simplex, key=view.key)))
+        return tuple(map(view.label, sorted(view.closure, key=view.key)))
 
     def f_vector(self) -> tuple[int, ...]:
         counts = [0] * (self.dim + 1)
-        for m in self.masks.simplex:
+        for m in self.masks.closure:
             counts[m.bit_count() - 1] += 1
         return tuple(counts)
 
@@ -166,7 +178,7 @@ class SimplicialComplex:
         return hash(self._facets)
 
     def __len__(self) -> int:
-        return len(self.masks.simplex)
+        return len(self.masks.closure)
 
     def __repr__(self) -> str:
         return (
@@ -180,30 +192,35 @@ class MaskView:
 
     The vertex of rank r is bit n - 1 - r.  Among simplices of one size
     the canonical order is then descending mask, so :meth:`key` is one
-    int.  ``simplex`` maps each mask of the closure to its frozenset; it
-    is built from the facets on first use.  The view holds the facets and
-    the bits, not the complex.
+    int.  ``closure`` is every simplex as a mask, built from the facets
+    on first use; :meth:`label` decodes a mask to its vertex set where a
+    caller needs labels.  The view holds the facets and the bits, not the
+    complex.
     """
 
-    def __init__(self, facets: frozenset, rank: dict):
-        n = len(rank)
+    def __init__(self, facets: frozenset, vertices: tuple):
+        n = len(vertices)
         self.n = n
-        self.bit = {v: 1 << (n - 1 - r) for v, r in rank.items()}
+        self.bit = {v: 1 << (n - 1 - r) for r, v in enumerate(vertices)}
+        # the vertex of bit i, which has rank n - 1 - i
+        self.vertex = vertices[::-1]
         self._facets = facets
 
     @cached_property
-    def simplex(self) -> dict[int, frozenset]:
-        """Every face of every facet, by mask; a face shared by several
-        facets gets one frozenset."""
-        closure: dict[int, frozenset] = {}
-        for f in self._facets:
-            members = tuple(f)
-            bits = list(map(self.bit.__getitem__, members))
-            for r in range(1, len(members) + 1):
-                for s, m in zip(combinations(members, r), map(sum, combinations(bits, r))):
-                    if m not in closure:
-                        closure[m] = frozenset(s)
-        return closure
+    def closure(self) -> frozenset:
+        """Every face of every facet, as masks: the nonempty submasks of
+        the facets' masks."""
+        return frozenset(submasks(map(self.mask, self._facets)))
+
+    def label(self, m: int) -> frozenset:
+        """The vertex set of a mask of this view."""
+        vertex = self.vertex
+        members = []
+        while m:
+            i = m.bit_length() - 1
+            members.append(vertex[i])
+            m ^= 1 << i
+        return frozenset(members)
 
     def mask(self, s: Iterable[Any]) -> int | None:
         """The mask of a vertex set, or None if it names a vertex the

@@ -82,8 +82,9 @@ def collapsed_profile(X: SimplicialComplex) -> tuple[HomologyProfile, int, int]:
     after.  Kept only for the neighborhood side of thm-1.2, whose report
     prints those counts; every other profile is the homology of the
     complex itself or, on the Hom side, of its cells."""
-    core, _ = greedy_collapse(X)
-    return homology(core), len(X), len(core)
+    core, cert = greedy_collapse(X)
+    # each step removes a free pair, so X is never closed to be counted
+    return homology(core), len(core) + 2 * len(cert.steps), len(core)
 
 
 def _digest(payload: dict) -> str:
@@ -200,7 +201,7 @@ def _suite_prop_collapse(fixtures, n, cap):
             # replay has shown that the start less the removed intervals is
             # the end; the interval [tau, sigma] has 2^|sigma - tau| simplices
             "end_simplices": len(F.complexes[0])
-            - sum(2 ** (len(s.sigma) - len(s.tau)) for s in cert.steps),
+            - sum(2 ** (s.sigma ^ s.tau).bit_count() for s in cert.steps),
             "certificate_sha256": _digest(certificate_to_dict(cert)),
         }
 

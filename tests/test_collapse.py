@@ -28,25 +28,26 @@ from homcx.simplicial import MaskView
 
 
 def free_face_pairs(X):
-    """All collapsible pairs of X, sorted by facet then free face, by a
-    scan over the facets: a simplex is a free face exactly when one facet
-    contains it and it is not itself that facet."""
+    """All collapsible pairs (sigma, tau) of X as label sets, sorted by
+    facet then free face, by a scan over the facets: a simplex is a free
+    face exactly when one facet contains it and it is not itself that
+    facet."""
     pairs = []
     for tau in X.simplices():
         over = [sigma for sigma in X.facets if tau <= sigma]
         if len(over) == 1 and over[0] != tau:
-            pairs.append(CollapseStep(sigma=over[0], tau=tau))
+            pairs.append((over[0], tau))
 
     def key(s):
         return len(s), sorted(map(X.rank.__getitem__, s))
 
-    return sorted(pairs, key=lambda p: (key(p.sigma), key(p.tau)))
+    return sorted(pairs, key=lambda p: (key(p[0]), key(p[1])))
 
 
 def test_free_face_pairs_of_full_edge():
     X = core_fixture("delta1")
     pairs = free_face_pairs(X)
-    assert [(p.sigma, p.tau) for p in pairs] == [
+    assert pairs == [
         (frozenset([1, 2]), frozenset([1])),
         (frozenset([1, 2]), frozenset([2])),
     ]
@@ -62,9 +63,9 @@ def test_free_face_with_dimension_gap():
     # lone triangle: each vertex sits under the single facet, two levels up
     X = SimplicialComplex.from_facets([[1, 2, 3]])
     pairs = free_face_pairs(X)
-    taus = {p.tau for p in pairs}
+    taus = {tau for _, tau in pairs}
     assert frozenset([1]) in taus
-    assert all(p.sigma == frozenset([1, 2, 3]) for p in pairs)
+    assert all(sigma == frozenset([1, 2, 3]) for sigma, _ in pairs)
 
 
 def test_greedy_collapse_of_simplices():
@@ -130,11 +131,34 @@ def test_replay_detects_tampering():
     ],
 )
 def test_replay_rejects_a_pair_on_a_foreign_vertex(sigma, tau):
+    """Vertex 9 is given the bit above the start view's bits."""
     X = core_fixture("delta1")
     _, cert = greedy_collapse(X)
-    step = CollapseStep(sigma=frozenset(sigma), tau=frozenset(tau))
+    bit = {**X.masks.bit, 9: 1 << X.masks.n}
+    step = CollapseStep(sigma=sum(map(bit.get, sigma)), tau=sum(map(bit.get, tau)))
     bad = CollapseCertificate(start=cert.start, end=cert.end, stages=((step,),))
     with pytest.raises(ValueError, match="not collapsible"):
+        replay_certificate(bad)
+
+
+@pytest.mark.parametrize("case", ["empty", "foreign-bit", "removed"])
+def test_replay_rejects_a_free_face_outside_the_complex(case):
+    """On the solid triangle, a step's free face must be a live face.  The
+    empty mask's one-vertex extensions assemble to the whole triangle, so
+    without that check the triangle would collapse onto the empty
+    complex; a mask on the bit above the view's, and a free face the step
+    before removed, are no live faces either."""
+    X = SimplicialComplex.from_facets([[1, 2, 3]])
+    view = X.masks
+    whole, edge, foreign = view.mask([1, 2, 3]), view.mask([2, 3]), 1 << view.n
+    first = CollapseStep(whole, edge)
+    steps = {
+        "empty": [CollapseStep(whole, 0)],
+        "foreign-bit": [first, CollapseStep(whole | foreign, edge | foreign)],
+        "removed": [first, first],
+    }[case]
+    bad = CollapseCertificate(start=X, end=SimplicialComplex([]), stages=(tuple(steps),))
+    with pytest.raises(ValueError, match=f"step {len(steps) - 1}: pair is not collapsible"):
         replay_certificate(bad)
 
 
@@ -166,7 +190,7 @@ def test_replay_leaves_the_end_complex_unclosed():
     F = kl_filtration(core_fixture("rp2"))
     cert = verify_kl_collapse_sequence(F)
     assert replay_certificate(cert)
-    assert "simplex" not in vars(cert.end.masks)
+    assert "closure" not in vars(cert.end.masks)
 
 
 def test_prop_collapse_counts_the_end_without_closing_it(monkeypatch):
@@ -183,7 +207,7 @@ def test_prop_collapse_counts_the_end_without_closing_it(monkeypatch):
     (report,) = run_suite("prop-collapse", ("rp2",)).reports
     (F,) = filtrations
     assert report.artifacts["end_simplices"] == 12187
-    assert "simplex" not in vars(F.complexes[-1].masks)
+    assert "closure" not in vars(F.complexes[-1].masks)
 
 
 def test_kl_filtration_of_triangle_boundary():
@@ -268,7 +292,7 @@ def test_removed_intervals_partition_start_minus_end(name):
 def test_kl_collapse_closes_only_the_start_complex():
     F = kl_filtration(core_fixture("rp2"))
     verify_kl_collapse_sequence(F)
-    closed = lambda K: "simplex" in vars(K.masks)
+    closed = lambda K: "closure" in vars(K.masks)
     assert closed(F.complexes[0])
     assert not any(closed(K) for K in F.complexes[1:-1])
 

@@ -13,6 +13,7 @@ from homcx import (
     CORE_FIXTURE_NAMES,
     CollapseCertificate,
     CollapseStep,
+    Cover,
     Filtration,
     Graph,
     HomologyProfile,
@@ -45,12 +46,14 @@ from homcx import (
     label_key,
     looped_edge_graph,
     neighborhood_complex,
+    nerve_of_cover,
     profiles_equal,
     render_label,
     replay_certificate,
     smith_normal_form,
     sparse_smith_normal_form,
     verify_kl_collapse_sequence,
+    verify_nerve_theorem_hypotheses,
 )
 from homcx.canon import canonical_order
 from homcx.collapse import _cofacet_state, _facet_union_state, _faces_outside
@@ -58,6 +61,7 @@ from homcx.graphs import _maximal_cliques
 from homcx.simplicial import _CoverIndex, faces, maximal_sets, render_simplex
 from test_collapse import free_face_pairs
 from test_homology import boundary_matrices
+from test_nerve import brute_nerve
 
 # Labels of every kind the package builds: ints, simplices (frozensets) and
 # multihomomorphisms over one domain.  label_key separates all of them.
@@ -164,8 +168,11 @@ def test_greedy_collapse_takes_the_canonically_first_free_pair(X):
     core, are the scan's."""
     core, cert = greedy_collapse(X)
     steps, live = greedy_steps_by_scan(X)
-    assert [(s.sigma, s.tau) for s in cert.steps] == steps
-    assert all(cert.removed(s) == interval_by_faces(s.tau, s.sigma) for s in cert.steps)
+    label = X.masks.label
+    assert [(label(s.sigma), label(s.tau)) for s in cert.steps] == steps
+    assert all(
+        cert.removed(s) == interval_by_faces(label(s.tau), label(s.sigma)) for s in cert.steps
+    )
     assert core.simplex_set() == live
 
 
@@ -208,20 +215,21 @@ def test_facet_union_state_matches_the_per_bit_counts(X):
     face, is the per-bit count and XOR of every face's cofacets; the
     verifier's per-bit builder agrees on the whole closure."""
     view = X.masks
-    by_bits = cofacet_state_by_bits(set(view.simplex), view.n)
+    by_bits = cofacet_state_by_bits(set(view.closure), view.n)
     assert _facet_union_state(list(map(view.mask, X.facets)), view.n) == by_bits
-    assert _cofacet_state(set(view.simplex), view.n) == by_bits
+    assert _cofacet_state(set(view.closure), view.n) == by_bits
 
 
 def certificate_to_dict_by_labels(cert):
-    """A certificate's steps rendered from their label sets, each vertex
-    rendered afresh."""
+    """A certificate's steps rendered from their decoded label sets, each
+    vertex rendered afresh."""
     X = cert.start
+    label = X.masks.label
     return [
         [
             {
-                "facet": render_simplex(X, step.sigma),
-                "free_face": render_simplex(X, step.tau),
+                "facet": render_simplex(X, label(step.sigma)),
+                "free_face": render_simplex(X, label(step.tau)),
                 "removed": [render_simplex(X, r) for r in cert.removed(step)],
             }
             for step in stage
@@ -250,7 +258,38 @@ def test_mask_key_is_the_canonical_order(X):
     assert len(X) == len(closure)
     sizes = [len(s) for s in closure]
     assert X.f_vector() == tuple(sizes.count(d) for d in range(1, X.dim + 2))
-    assert all(X.masks.mask(s) == m for m, s in X.masks.simplex.items())
+    assert all(X.masks.label(X.masks.mask(s)) == s for s in closure)
+
+
+@settings(deadline=None)
+@given(st.one_of(complexes, labelled_complexes, wide_complexes, overlapping_complexes()))
+def test_mask_closure_is_the_faces_of_the_facets(X):
+    """The view's closure is the masks of the faces of the facets, and
+    every mask in it decodes to a vertex set whose mask it is."""
+    view = X.masks
+    assert view.closure == {view.mask(s) for f in X.facets for s in faces(f)}
+    assert all(view.mask(view.label(m)) == m for m in view.closure)
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(complexes, labelled_complexes), min_size=1, max_size=4))
+def test_nerve_and_its_hypotheses_match_the_label_sets(pieces):
+    """Intersections taken on masks over the pieces' vertices give the
+    nerve, and the full-simplex verdicts, of the pieces' label sets."""
+    cover = Cover(index=tuple(range(len(pieces))), pieces=dict(enumerate(pieces)))
+    nerve = brute_nerve(cover)
+    assert set(nerve_of_cover(cover).simplex_set()) == nerve
+    sets = [set(p.simplex_set()) for p in pieces]
+
+    def full(J):
+        """A meet of closures is downward closed, so it is the full
+        simplex on its vertices exactly when it has 2^k - 1 members."""
+        common = set.intersection(*(sets[j] for j in J))
+        return len(common) == 2 ** len(frozenset().union(*common)) - 1
+
+    report = verify_nerve_theorem_hypotheses(cover)
+    assert report.intersections_checked == len(nerve)
+    assert set(map(frozenset, report.failures)) == {J for J in nerve if not full(J)}
 
 
 @settings(deadline=None)
@@ -476,6 +515,7 @@ def kl_sequence_by_closure(F):
     """The filtration collapse checked against the closure of every
     stage target, each stage starting from the closure of K_l."""
     V = F.graph.vertices
+    mask = F.complexes[0].masks.mask
     stages: list[tuple] = []
     for l in range(1, F.p - F.q + 1):
         sig = F.order[l - 1]
@@ -492,7 +532,7 @@ def kl_sequence_by_closure(F):
                     stuck=SimplicialComplex(S),
                 )
             S.difference_update(removed)
-            steps.append(CollapseStep(sigma, tau))
+            steps.append(CollapseStep(mask(sigma), mask(tau)))
 
         first_sigma = frozenset(F.graph.neighbors(sig))
         first_tau = first_sigma - {sig}
@@ -539,7 +579,10 @@ def kl_outcome(verify, F):
         cert = verify(F)
     except StalledCollapse as exc:
         return exc.stage, str(exc), exc.stuck
-    assert all(cert.removed(s) == interval_by_faces(s.tau, s.sigma) for s in cert.steps)
+    label = cert.start.masks.label
+    assert all(
+        cert.removed(s) == interval_by_faces(label(s.tau), label(s.sigma)) for s in cert.steps
+    )
     return certificate_to_dict(cert)
 
 
