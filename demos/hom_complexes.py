@@ -39,7 +39,9 @@ print("homology:", homology(core).betti, " (the space itself has", homology(X).b
 print()
 
 # Every element admits a common neighbor of all its image sets, found
-# constructively; the trace shows the fused-simplex chain.
+# constructively; the trace shows the fused-simplex chain.  An element
+# keeps its images as bit masks over the target's vertices; printing it
+# decodes them to the simplices they stand for.
 eta = P.elements[40]
 print("an element:", eta)
 tr = common_neighbor_witness(eta, G)

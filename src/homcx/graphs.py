@@ -10,6 +10,7 @@ recover the subdivision combinatorially.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable
 
 from .canon import canonical_order, render_label
@@ -59,6 +60,13 @@ class Graph:
     def neighbors(self, v: Any) -> frozenset:
         """Neighbors of v; contains v itself exactly when v has a loop."""
         return self._adj[v]
+
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Each vertex's neighbors as a mask over the ranks (bit r is the
+        vertex of rank r), in rank order; built on first use."""
+        rank = self.rank
+        return tuple(sum(1 << rank[w] for w in self._adj[v]) for v in self.vertices)
 
     def has_edge(self, a: Any, b: Any) -> bool:
         return b in self._adj[a] if a in self._adj else False

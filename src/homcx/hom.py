@@ -6,6 +6,13 @@ lies in the edges of H (a loop on a G-vertex forces its image to induce
 a reflexive clique).  Pointwise inclusion makes these a poset; its order
 complex is the topological object of interest.
 
+Every image is an int mask over the target's canonical order: bit r is
+the target vertex of rank r.  Inclusion is a subset test on masks,
+common neighborhoods are ANDs of neighbor masks, and a face of an image
+drops one bit.  Labels are decoded only where a user sees them: ``str``,
+the JSON forms, failure strings, and the cells handed to the chain
+complex builder.
+
 Hom(G, H) is enumerated by one pruned depth-first walk, which emits the
 elements in the label order of multihoms, the order the poset keeps.
 
@@ -18,16 +25,16 @@ produces the certifying vertex explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import product, repeat
+from functools import cache, cached_property, partial, reduce
+from itertools import product
 from math import prod
-from operator import le
+from operator import or_
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
-from .canon import label_key, render_label, sorted_labels
-from .graphs import Graph, common_neighborhood, complete_graph
+from .canon import render_label
+from .graphs import Graph, complete_graph
 from .homology import HomologyProfile, chain_complex, chain_homology
-from .simplicial import Poset, SimplicialComplex, faces, order_complex
+from .simplicial import Poset, SimplicialComplex, order_complex, submasks
 
 __all__ = [
     "DEFAULT_CAP",
@@ -64,31 +71,70 @@ class CapExceeded(Exception):
         self.partial_count = partial_count
 
 
+def _ranks(mask: int) -> tuple:
+    """The ranks of the bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _decode(target: tuple, mask: int) -> frozenset:
+    """The vertex set of an image mask over ``target``."""
+    return frozenset(map(target.__getitem__, _ranks(mask)))
+
+
+def _encode(rank: Mapping, labels: Iterable[Any]) -> int:
+    """The mask of a vertex set over a target with ranks ``rank``; a
+    KeyError names a vertex the target does not have."""
+    return sum(1 << rank[v] for v in set(labels))
+
+
 class Multihom(NamedTuple):
-    """Images of the source vertices, in the source's canonical order.
+    """Images of the source vertices, in the source's canonical order,
+    as masks over ``target``, the target graph's vertices in canonical
+    order: bit r of an image is the vertex of rank r.
 
     A named tuple, so hashing and equality run in C; it equals the plain
-    tuple ``(domain, images)``, which no Hom container mixes with it."""
+    tuple ``(domain, images, target)``, which no Hom container mixes with
+    it.  Hashing walks ``target`` too, so it costs O(|V(H)|); a lookup
+    that only needs the images keys by ``images``, as
+    :class:`HomPoset` does."""
 
     domain: tuple
     images: tuple
+    target: tuple
 
     def get(self, u: Any) -> frozenset:
-        return self.images[self.domain.index(u)]
+        """The image of ``u``, as a set of target vertices."""
+        return _decode(self.target, self.images[self.domain.index(u)])
 
     def canonical_key(self) -> tuple:
-        return tuple(label_key(img) for img in self.images)
+        """Each image's ranks, ascending: the ranks follow the label
+        order, so this sorts as the images' label keys do."""
+        return tuple(map(_ranks, self.images))
 
     def pointwise_le(self, other: "Multihom") -> bool:
-        if self.domain != other.domain:
-            raise ValueError("multihomomorphisms over different domains")
-        return all(map(le, self.images, other.images))
+        if self.domain != other.domain or self.target != other.target:
+            raise ValueError("multihomomorphisms over different domains or targets")
+        return not any(a & ~b for a, b in zip(self.images, other.images))
 
     def total_size(self) -> int:
-        return sum(len(img) for img in self.images)
+        return sum(img.bit_count() for img in self.images)
 
     def __str__(self) -> str:
-        return "(" + "|".join(render_label(img) for img in self.images) + ")"
+        # each image's labels in rank order, the order render_label sorts in
+        return "(" + "|".join(
+            "{" + ",".join(render_label(self.target[r]) for r in _ranks(img)) + "}"
+            for img in self.images
+        ) + ")"
+
+
+# Multihom from one (domain, images, target) tuple, without the Python
+# frame of the named tuple's __new__
+_multihom = partial(tuple.__new__, Multihom)
 
 
 def _drops(images: tuple, stop: int) -> Iterator[tuple]:
@@ -96,23 +142,27 @@ def _drops(images: tuple, stop: int) -> Iterator[tuple]:
     images, each way that leaves no image empty."""
     for i in range(stop):
         img = images[i]
-        if len(img) > 1:
+        if img & (img - 1):
             head, tail = images[:i], images[i + 1 :]
-            for v in img:
-                yield head + (img - {v},) + tail
+            rest = img
+            while rest:
+                low = rest & -rest
+                yield head + (img ^ low,) + tail
+                rest ^= low
 
 
 class HomPoset:
     """All multihomomorphisms G -> H, ordered by pointwise inclusion.
 
     The elements keep the order they are given in; :func:`enumerate_hom`
-    gives them in the label order of multihoms.  ``target_rank`` is the
-    target graph's canonical order of its vertices, ``H.rank``."""
+    gives them in the label order of multihoms.  ``target`` is the
+    target graph's vertices in canonical order, ``H.vertices``, over
+    which the images are masks."""
 
-    def __init__(self, domain: tuple, elements: Iterable[Multihom], target_rank: Mapping):
+    def __init__(self, domain: tuple, elements: Iterable[Multihom], target: tuple):
         self.domain = tuple(domain)
         self.elements = tuple(elements)
-        self.target_rank = target_rank
+        self.target = target
         self._poset: Poset | None = None
 
     def __len__(self) -> int:
@@ -123,14 +173,19 @@ class HomPoset:
 
     @cached_property
     def _index(self) -> dict:
-        """Each element's position, built on the first lookup."""
-        return {m: i for i, m in enumerate(self.elements)}
+        """Each element's position by its images, built on the first
+        lookup."""
+        return {m.images: i for i, m in enumerate(self.elements)}
 
     def __contains__(self, m: Multihom) -> bool:
-        return m in self._index
+        i = self._index.get(m.images)
+        return i is not None and self.elements[i] == m
 
     def index(self, m: Multihom) -> int:
-        return self._index[m]
+        i = self._index.get(m.images)
+        if i is None or self.elements[i] != m:
+            raise KeyError(m)
+        return i
 
     def to_poset(self) -> Poset:
         """Covering relations: pointwise inclusion with total size one
@@ -138,18 +193,19 @@ class HomPoset:
         the poset again, so these are all the covers."""
         if self._poset is not None:
             return self._poset
-        upper: dict[Multihom, list] = {m: [] for m in self.elements}
-        for m in self.elements:
+        index, elements = self._index, self.elements
+        upper: list[list] = [[] for _ in elements]
+        for m in elements:
             for images in _drops(m.images, len(m.images)):
-                smaller = Multihom(m.domain, images)
-                if smaller not in self._index:
+                i = index.get(images)
+                if i is None:
                     raise AssertionError(
                         "pointwise restriction left the poset; "
                         "enumeration was incomplete"
                     )
                 # m is appended once per face, in element order
-                upper[smaller].append(m)
-        self._poset = Poset(self.elements, upper)
+                upper[i].append(m)
+        self._poset = Poset(elements, dict(zip(elements, upper)))
         return self._poset
 
 
@@ -184,86 +240,84 @@ class QuillenReport:
         return not self.maximum_failures and not self.pair_failures
 
 
-def _as_images(G: Graph, eta: Multihom | Mapping) -> Multihom:
+def _image_masks(G: Graph, H: Graph, eta: Multihom | Mapping) -> tuple:
+    """eta's images as masks over ``H.vertices``, in G's canonical order,
+    each checked to be nonempty and inside H."""
     if isinstance(eta, Multihom):
         if eta.domain != G.vertices:
             raise ValueError("multihomomorphism domain does not match the graph")
-        return eta
-    images = []
-    for u in G.vertices:
-        if u not in eta:
-            raise ValueError(f"no image assigned to vertex {u!r}")
-        img = frozenset(eta[u])
-        images.append(img)
-    return Multihom(domain=G.vertices, images=tuple(images))
+        if eta.target != H.vertices:
+            raise ValueError("multihomomorphism target does not match the graph")
+        images = eta.images
+    else:
+        images = []
+        for u in G.vertices:
+            if u not in eta:
+                raise ValueError(f"no image assigned to vertex {u!r}")
+            labels = set(eta[u])
+            # -1 stands for an image with a vertex H does not have
+            images.append(_encode(H.rank, labels) if labels <= H.rank.keys() else -1)
+    for u, img in zip(G.vertices, images):
+        if not img:
+            raise ValueError(f"empty image at vertex {u!r}")
+        if img < 0 or img >> len(H.vertices):
+            raise ValueError(f"image of {u!r} leaves the target graph")
+    return tuple(images)
 
 
 def is_multihom(G: Graph, H: Graph, eta: Multihom | Mapping) -> bool:
     """Whether the assignment satisfies the product condition on every
-    edge of G, loops included."""
-    m = _as_images(G, eta)
-    hverts = set(H.vertices)
-    for u, img in zip(m.domain, m.images):
-        if not img:
-            raise ValueError(f"empty image at vertex {u!r}")
-        if not img <= hverts:
-            raise ValueError(f"image of {u!r} leaves the target graph")
+    edge of G, loops included.  A mapping gives each source vertex a set
+    of target vertices; a Multihom gives masks over ``H.vertices``."""
+    images = _image_masks(G, H, eta)
+    nbrs = H.neighbor_masks
     for a, b in G.edges:
-        if any(not H.has_edge(x, y) for x in m.get(a) for y in m.get(b)):
+        img_b = images[G.rank[b]]
+        if any(img_b & ~nbrs[r] for r in _ranks(images[G.rank[a]])):
             return False
     return True
 
 
-class _Images(dict):
-    """Each image's frozenset by its mask over the target's ranks (rank r
-    is bit r), built on first use, so equal images are one object."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices: tuple):
-        super().__init__()
-        self.vertices = vertices
-
-    def __missing__(self, mask: int) -> frozenset:
-        img = self[mask] = frozenset(v for r, v in enumerate(self.vertices) if mask >> r & 1)
-        return img
-
-
-def _grown_images(
-    images: tuple, meets: tuple, pool: int, nbrs: list, interned: _Images,
-    has_later: bool, looped: bool,
-) -> Iterator[tuple | None]:
-    """``images`` and ``meets`` extended by each nonempty subset S of the
-    rank mask ``pool`` and its common neighborhood, S grown one vertex at
-    a time in rank order, depth first.
+def _grown(pool: int, nbrs: tuple, has_later: bool, looped: bool, budget: int):
+    """Every nonempty subset S of the rank mask ``pool`` tried as an
+    image, S grown one vertex at a time in rank order, depth first: the
+    number tried, and the S kept with their common neighborhoods, both
+    in the order of their sorted ranks.  None once more than ``budget``
+    are tried.
 
     S carries its common neighborhood as a mask, one AND with ``nbrs``
     (the neighbor mask of each rank) per added vertex.  A branch is
     pruned when that neighborhood is empty and the source vertex
     ``has_later`` neighbors (their images must lie in it), or when it is
     ``looped`` and S leaves it (S must be a reflexive clique).  Both pass
-    from S to every superset, so no element is lost.  With neither flag
-    nothing is pruned.  Every subset tried is yielded, a pruned one as
-    None, so the caller counts the work.
+    from S to every superset, so no element is lost.  A pruned S is
+    tried, and counted, but not kept.
     """
     bits = []
     while pool:
         low = pool & -pool
         bits.append(low)
         pool ^= low
-    cns = [nbrs[b.bit_length() - 1] for b in bits]
     end = len(bits)
+    cns = [nbrs[b.bit_length() - 1] for b in bits]
+    kept = []
+    meets = []
+    tried = 0
     # (next pool position, S, cn(S)); children are pushed last-first, so
     # the S come out in the order of their sorted ranks
     todo = [(i + 1, bits[i], cns[i]) for i in reversed(range(end))]
     while todo:
         nxt, S, meet = todo.pop()
+        tried += 1
+        if tried > budget:
+            return None
         if (has_later and not meet) or (looped and meet & S != S):
-            yield None
             continue
-        yield images + (interned[S],), meets + (meet,)
+        kept.append(S)
+        meets.append(meet)
         if nxt < end:
             todo.extend((i + 1, S | bits[i], meet & cns[i]) for i in reversed(range(nxt, end)))
+    return tried, kept, meets
 
 
 def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
@@ -274,22 +328,34 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
     images already assigned to its neighbors, the AND of the masks over
     the target's ranks that those images carry.  Each image grows one
     target vertex at a time, in rank order, and a branch is pruned as
-    soon as no superset can be an image (:func:`_grown_images`; a vertex
-    with no later neighbor and no loop prunes nothing).  Each distinct
-    image is one frozenset, shared by every element that has it.
-    Extensions wait on a stack, not in recursion, and are taken depth
-    first, so the elements come out in the label order of multihoms.
+    soon as no superset can be an image (:func:`_grown`).  The subsets
+    tried at a source position depend only on it and its pool, so each
+    (position, pool) list is built once per call and reused; the last
+    position appends its whole list at once.  Extensions wait on a stack, not in
+    recursion, and are taken depth first, so the elements come out in
+    the label order of multihoms.  Images are masks over ``H.vertices``;
+    no label is decoded.
 
     The cap bounds the work: every partial assignment tried counts, kept
     or pruned, the empty one at the root included, and CapExceeded is
-    raised, with that count, once more than ``cap`` have been tried.  Each
+    raised, with the count ``cap + 1``, once more than ``cap`` have been
+    tried.  A (position, pool) list is charged in full, pruned entries
+    too, before any of it is used, and stops being built once it alone
+    would pass the cap, so the lists held are bounded by the work.  Each
     element is an assignment tried, so a run within the cap has at most
     ``cap`` elements.
     """
     cap = DEFAULT_CAP if cap is None else int(cap)
     if cap < 0:
         raise ValueError(f"the enumeration cap must be non-negative, got {cap}")
-    gverts = G.vertices
+    gverts, target, nbrs = G.vertices, H.vertices, H.neighbor_masks
+    # the root, the empty assignment, is tried first
+    if cap < 1:
+        raise CapExceeded(cap=cap, partial_count=1)
+    tried = 1
+    last = len(gverts) - 1
+    if last < 0:
+        return HomPoset(domain=gverts, elements=[_multihom((gverts, (), target))], target=target)
     # the positions of each source vertex's neighbors that come before it
     earlier = [[j for j in range(i) if G.has_edge(u, gverts[j])] for i, u in enumerate(gverts)]
     has_later = [False] * len(gverts)
@@ -297,39 +363,41 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
         for j in js:
             has_later[j] = True
     looped = [G.has_loop(u) for u in gverts]
-    nbrs = [sum(1 << H.rank[w] for w in H.neighbors(v)) for v in H.vertices]
     everything = (1 << len(nbrs)) - 1
-    interned = _Images(H.vertices)
+    grown: dict[tuple, tuple] = {}
     found: list[Multihom] = []
-    tried = 0
-    stack: list[Iterator[tuple | None]] = [iter([((), ())])]
+    stack: list[Iterator[tuple]] = [iter([((), ())])]
     while stack:
         # siblings come from one iterator; a node with children pushes
         # theirs and breaks, and the loop resumes it when they run out
-        for node in stack[-1]:
-            tried += 1
-            if tried > cap:
-                raise CapExceeded(cap=cap, partial_count=tried)
-            if node is None:
-                continue
-            images, meets = node
+        for images, meets in stack[-1]:
             idx = len(images)
-            if idx == len(gverts):
-                found.append(Multihom(domain=gverts, images=images))
-                continue
             # cn(A | B) = cn(A) & cn(B): one AND per fixed image
             pool = everything
             for j in earlier[idx]:
                 pool &= meets[j]
             if not pool:
                 continue
+            entry = grown.get((idx, pool))
+            if entry is None:
+                entry = _grown(pool, nbrs, has_later[idx], looped[idx], cap - tried)
+                if entry is None:
+                    raise CapExceeded(cap=cap, partial_count=cap + 1)
+                grown[idx, pool] = entry
+            count, kept, kept_meets = entry
+            tried += count
+            if tried > cap:
+                raise CapExceeded(cap=cap, partial_count=cap + 1)
+            if idx == last:
+                found.extend([_multihom((gverts, images + (S,), target)) for S in kept])
+                continue
             stack.append(
-                _grown_images(images, meets, pool, nbrs, interned, has_later[idx], looped[idx])
+                iter([(images + (S,), meets + (meet,)) for S, meet in zip(kept, kept_meets)])
             )
             break
         else:
             stack.pop()
-    return HomPoset(domain=gverts, elements=found, target_rank=H.rank)
+    return HomPoset(domain=gverts, elements=found, target=target)
 
 
 def hom_order_complex(P: HomPoset) -> SimplicialComplex:
@@ -345,10 +413,14 @@ def hom_homology(P: HomPoset) -> HomologyProfile:
     Hom(G, H) is a polyhedral complex whose cell eta is the product of
     simplices on its images and whose face poset is P, so its cellular
     homology is that of the order complex of P.  The boundary is the
-    product rule of :func:`~homcx.homology.chain_complex`, with each image
+    product rule of :func:`~homcx.homology.chain_complex`, shared with
+    simplicial homology, on the images decoded to vertex sets, each
     sorted by the target graph's canonical order of its vertices.
     """
-    cells, columns = chain_complex((m.images for m in P), P.target_rank)
+    # each distinct mask decoded once
+    label = cache(partial(_decode, P.target))
+    rank = {v: r for r, v in enumerate(P.target)}
+    cells, columns = chain_complex((tuple(map(label, m.images)) for m in P), rank)
     return chain_homology([len(by_dim) for by_dim in cells], columns)
 
 
@@ -356,13 +428,26 @@ def restriction_map(eta: Multihom) -> Multihom:
     """Forget the last source vertex (complete source graphs, n >= 3)."""
     if len(eta.domain) < 3:
         raise ValueError("restriction needs a source on at least 3 vertices")
-    return Multihom(domain=eta.domain[:-1], images=eta.images[:-1])
+    return Multihom(domain=eta.domain[:-1], images=eta.images[:-1], target=eta.target)
+
+
+def _meet(union: int, nbrs: tuple) -> int:
+    """The common neighborhood of the vertices of ``union``: the AND of
+    their neighbor masks."""
+    meet = (1 << len(nbrs)) - 1
+    while union:
+        low = union & -union
+        meet &= nbrs[low.bit_length() - 1]
+        union ^= low
+    return meet
 
 
 def fiber_maximum(rho: Multihom, H: Graph) -> Multihom:
     """Extend rho by the intersection of the common neighborhoods of its
     images: the unique maximum of the restriction fiber over rho."""
-    meet = common_neighborhood(H, frozenset().union(*rho.images))
+    if rho.target != H.vertices:
+        raise ValueError("multihomomorphism target does not match the graph")
+    meet = _meet(reduce(or_, rho.images, 0), H.neighbor_masks)
     if not meet:
         raise ValueError(
             "common-neighborhood intersection is empty; the fiber has no maximum"
@@ -370,19 +455,17 @@ def fiber_maximum(rho: Multihom, H: Graph) -> Multihom:
     n = len(rho.domain) + 1
     if rho.domain != tuple(range(1, n)):
         raise ValueError("fiber extension expects a complete source on 1..n-1")
-    return Multihom(domain=tuple(range(1, n + 1)), images=rho.images + (meet,))
+    return Multihom(domain=tuple(range(1, n + 1)), images=rho.images + (meet,), target=rho.target)
 
 
-def _fusion(k: int, chosen: frozenset, low: int, H: Graph) -> WitnessTrace:
-    """The fusion on image ``k``, ``chosen``, whose smallest members have
-    ``low`` vertices: fuse those into tau_0, then repeatedly fuse in
-    every remaining member incomparable with the current tau."""
-    if len(chosen) > 1:
-        # H.vertices is in label_key order, which among equal sizes is the
-        # canonical simplex order; the second sort is stable
-        members = sorted(sorted(chosen, key=H.rank.__getitem__), key=len)
-    else:
-        members = [*chosen]
+def _fusion(k: int, chosen: int, low: int, target: tuple) -> WitnessTrace:
+    """The fusion on image ``k``, the mask ``chosen`` over ``target``,
+    whose smallest members have ``low`` vertices: fuse those into tau_0,
+    then repeatedly fuse in every remaining member incomparable with the
+    current tau.  Only this image is decoded."""
+    # the members in rank order, which among equal sizes is the canonical
+    # simplex order; the sort by size is stable
+    members = sorted(map(target.__getitem__, _ranks(chosen)), key=len)
     i1 = [*map(len, members)].count(low)
     tau = frozenset().union(*members[:i1])
     tau_chain = [tau]
@@ -420,37 +503,46 @@ def common_neighbor_witness(eta: Multihom, H: Graph, memo: dict | None = None) -
     returning.
 
     The fusion depends only on k and the k-th image.  ``memo``, a dict
-    the caller keeps for one target graph H, holds each image's
-    validated minimum member size and each fusion by (k, image), so
-    etas that share them fuse once; the neighborhood check runs on every
-    call.
+    the caller keeps, holds each image mask's validated minimum member
+    size and each fusion by (k, image mask), so etas that share them fuse
+    once.  Masks mean vertices only over one target, so the memo records
+    the target it was filled for and refuses any other with a
+    ValueError.  The neighborhood check reads H on every call.
     """
     if memo is None:
         memo = {}
+    target = eta.target
+    if target is not H.vertices and target != H.vertices:
+        raise ValueError("multihomomorphism target does not match the graph")
+    # the None key holds the target the memo's masks are over
+    filled_for = memo.setdefault(None, target)
+    if filled_for is not target and filled_for != target:
+        raise ValueError("the witness memo was filled for another target")
     images = eta.images
-    mins = []
-    for img in images:
-        low = memo.get(img)
-        if low is None:
-            if not all(map(isinstance, img, repeat(frozenset))):
-                raise ValueError("witness construction needs simplex-valued target vertices")
-            low = memo[img] = min(map(len, img))
-        mins.append(low)
+    mins = [*map(memo.get, images)]
+    if None in mins:
+        for i, img in enumerate(images):
+            if mins[i] is None:
+                members = [target[r] for r in _ranks(img)]
+                if not all(isinstance(s, frozenset) for s in members):
+                    raise ValueError("witness construction needs simplex-valued target vertices")
+                mins[i] = memo[img] = min(map(len, members))
     low = min(mins)
     k = mins.index(low) + 1
     key = (k, images[k - 1])
     trace = memo.get(key)
     if trace is None:
-        trace = memo[key] = _fusion(k, images[k - 1], low, H)
-    witness = trace.witness
-    # adjacency is symmetric: witness lies in cn(img) iff img lies in N(witness)
-    near = H.neighbors(witness) if witness in H.rank else frozenset()
-    for i, img in enumerate(images, start=1):
-        if not img <= near:
-            raise AssertionError(
-                f"constructed witness {render_label(witness)} misses the "
-                f"neighborhood of image {i}"
-            )
+        trace = memo[key] = _fusion(k, images[k - 1], low, target)
+    # adjacency is symmetric: the witness lies in cn(img) iff img lies in
+    # N(witness), the mask near
+    r = H.rank.get(trace.witness)
+    near = 0 if r is None else H.neighbor_masks[r]
+    if reduce(or_, images) & ~near:
+        i = next(i for i, img in enumerate(images, start=1) if img & ~near)
+        raise AssertionError(
+            f"constructed witness {render_label(trace.witness)} misses the "
+            f"neighborhood of image {i}"
+        )
     return trace
 
 
@@ -464,24 +556,27 @@ def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> Quille
     by a subset of eta's last image, so (B) asks only whether rho
     extended by eta's last image is a multihomomorphism.
 
-    On a complete enumeration only "no candidate maximum" (the images of
-    rho have no common neighbor) can fail.  The other failures fire only
-    when the enumeration lost an element: rho extended by its common
-    neighborhood is a multihom above its fiber, and the (B) candidate is
-    a sub-multihom of eta.
+    The fibers are keyed by the restricted image masks, each holding the
+    last images over it.  The predicted maximum extends rho by the AND
+    of the neighbor masks of every vertex in its images.  On a complete
+    enumeration only "no candidate maximum" (that AND is empty) can
+    fail.  The other failures fire only when the enumeration lost an
+    element: rho extended by its common neighborhood is a multihom above
+    its fiber, and the (B) candidate is a sub-multihom of eta.
 
     The rho below a restricted eta are the products of nonempty subsets
-    of its images.  Two checks, one pass over P = Hom(K_n, H) each,
-    settle every (B) pair at once: every restricted eta lies in
-    Q = Hom(K_{n-1}, H), and P is closed under dropping one vertex from
-    an image before the last.  Then each candidate is reached from eta
-    by such drops, so it lies in P, and rho, its restriction, lies in Q.
-    No pair fails, and eta has prod_{i<n} (2^|eta_i| - 1) of them.
+    of its images.  Two checks settle every (B) pair at once: every
+    restricted eta lies in Q = Hom(K_{n-1}, H), and P = Hom(K_n, H) is
+    closed under dropping one vertex from an image before the last, that
+    is, each fiber's last images lie in the fiber of every one-vertex
+    drop of its key.  Then each candidate is reached from eta by such
+    drops, so it lies in P, and rho, its restriction, lies in Q.  No pair
+    fails, and eta has prod_{i<n} (2^|eta_i| - 1) of them.
 
     When either check fails, the enumeration lost an element, and the
     pairs are generated one by one: a rho missing from Q raises an
     AssertionError, and a candidate missing from P is a pair failure.
-    Each image's subsets are sorted once by their target ranks, so the
+    Each image's submasks are sorted once by their ranks, so the
     products, and with them the pairs and failures, come in Q's order,
     as a scan over all of Q would list them.
     """
@@ -489,44 +584,48 @@ def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> Quille
         raise ValueError("fiber checks need n >= 3")
     P = enumerate_hom(complete_graph(n), H, cap=cap)
     Q = enumerate_hom(complete_graph(n - 1), H, cap=cap)
-    fibers: dict[tuple, list[Multihom]] = {m.images[:-1]: [] for m in P}
+    nbrs = H.neighbor_masks
+    fibers: dict[tuple, set] = {}
     for m in P:
-        fibers[m.images[:-1]].append(m)
+        fibers.setdefault(m.images[:-1], set()).add(m.images[-1])
     maximum_failures = []
+    # the restrictions of P's elements that lie in Q
+    in_q = 0
     for rho in Q:
-        # what is left in fibers afterwards are restrictions missing from Q
-        fiber = fibers.pop(rho.images, [])
-        try:
-            top = fiber_maximum(rho, H)
-        except ValueError:
+        fiber = fibers.get(rho.images, ())
+        in_q += rho.images in fibers
+        meet = _meet(reduce(or_, rho.images), nbrs)
+        if not meet:
             maximum_failures.append((str(rho), "no candidate maximum"))
-            continue
-        if top not in P:
+        elif meet not in fiber:
             maximum_failures.append((str(rho), "predicted maximum is not a multihom"))
-            continue
-        if any(not m.pointwise_le(top) for m in fiber):
+        elif any(last & ~meet for last in fiber):
             maximum_failures.append((str(rho), "fiber member above predicted maximum"))
     pair_failures = []
-    if not fibers and all(
-        Multihom(P.domain, images) in P for eta in P for images in _drops(eta.images, n - 1)
+    if in_q == len(fibers) and all(
+        fiber.issubset(fibers.get(smaller, ()))
+        for rho, fiber in fibers.items()
+        for smaller in _drops(rho, n - 1)
     ):
-        pairs = sum(prod((1 << len(img)) - 1 for img in eta.images[:-1]) for eta in P)
+        pairs = sum(
+            len(fiber) * prod((1 << img.bit_count()) - 1 for img in rho)
+            for rho, fiber in fibers.items()
+        )
     else:
         pairs = 0
-        rank = Q.target_rank.__getitem__
-        # faces(img) follows frozenset order, which hash randomisation moves
-        subsets = cache(lambda img: sorted(faces(img), key=lambda f: sorted(map(rank, f))))
+        in_Q = {rho.images for rho in Q}
+        subsets = cache(lambda img: sorted(submasks((img,)), key=_ranks))
         for eta in P:
+            last = eta.images[-1]
             for images in product(*map(subsets, eta.images[:-1])):
-                rho = Multihom(domain=Q.domain, images=images)
-                if rho not in Q:
+                if images not in in_Q:
                     raise AssertionError(
                         "a sub-multihomomorphism is missing from the poset; "
                         "enumeration was incomplete"
                     )
                 pairs += 1
-                candidate = Multihom(domain=P.domain, images=images + (eta.images[-1],))
-                if candidate not in P:
+                if last not in fibers.get(images, ()):
+                    rho = Multihom(Q.domain, images, Q.target)
                     pair_failures.append((str(rho), str(eta), "candidate not a multihom"))
     return QuillenReport(
         n=n,
@@ -539,7 +638,7 @@ def check_quillen_conditions(n: int, H: Graph, cap: int | None = None) -> Quille
 
 def multihom_to_dict(m: Multihom) -> dict:
     return {
-        render_label(u): [render_label(v) for v in sorted_labels(img)]
+        render_label(u): [render_label(m.target[r]) for r in _ranks(img)]
         for u, img in zip(m.domain, m.images)
     }
 

@@ -137,7 +137,7 @@ def test_criterion_06_every_hom_element_has_a_common_neighbor_witness():
                 intersection = [
                     v
                     for v in G.vertices
-                    if all(G.has_edge(v, a) for img in eta.images for a in img)
+                    if all(G.has_edge(v, a) for u in eta.domain for a in eta.get(u))
                 ]
                 assert intersection, (name, n, eta)
                 tr = common_neighbor_witness(eta, G)
@@ -165,9 +165,9 @@ def test_criterion_07_restriction_fibers_have_unique_maxima():
         # condition (B): the capped extension dominates the fiber below eta
         for eta in P.elements:
             for rho in Q.elements:
-                if not all(r <= e for r, e in zip(rho.images, eta.images[:2])):
+                if not all(rho.get(u) <= eta.get(u) for u in rho.domain):
                     continue
-                mu = Multihom(domain=(1, 2, 3), images=rho.images + (eta.images[2],))
+                mu = Multihom((1, 2, 3), rho.images + (eta.images[2],), eta.target)
                 assert mu in set(P.elements), (name, rho, eta)
                 below = [
                     nu for nu in fibers.get(rho.images, []) if nu.pointwise_le(eta)

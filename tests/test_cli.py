@@ -1,5 +1,6 @@
 """Command line round trips and exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import homcx.hom
 from homcx import (
     SimplicialComplex,
     build_g_kx,
@@ -389,3 +391,27 @@ def test_readme_command_lines_parse():
     assert len(lines) >= 14
     for line in lines:
         build_parser().parse_args(shlex.split(line.split("#")[0])[1:])
+
+
+def test_prop_4_1_reports_the_etas_whose_witness_misses(capsys, monkeypatch):
+    """A fusion whose witness is no vertex fails common_neighbor_witness's
+    assertion for every eta; prop-4.1 records each of them as a failure,
+    so the run reports FAIL and exits 1, with no traceback."""
+    fusion = homcx.hom._fusion
+
+    def off_the_graph(*args):
+        return dataclasses.replace(fusion(*args), witness=frozenset([7]))
+
+    monkeypatch.setattr(homcx.hom, "_fusion", off_the_graph)
+    argv = ["verify", "prop-4.1", "--fixtures", "delta1", "--format", "json"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (1, "")
+    [report] = json.loads(out)["reports"]
+    H = build_g_kx(core_fixture("delta1"), 1)
+    etas = [str(eta) for n in (2, 3) for eta in enumerate_hom(complete_graph(n), H)]
+    assert report["artifacts"]["etas_checked"] == len(etas) == 80
+    assert report["artifacts"]["failures"] == etas
+    assert not report["passed"]
+    code, out, _ = run(capsys, argv[:4])
+    assert code == 1
+    assert "[FAIL] delta1" in out and "overall: FAIL" in out

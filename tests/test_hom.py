@@ -33,7 +33,19 @@ from homcx import (
     profiles_equal,
     restriction_map,
 )
+from homcx.hom import _decode, _encode
 from test_graphs import random_graph
+
+
+def multihom(domain, H, *images):
+    """The Multihom giving the i-th vertex of ``domain`` the vertex set
+    ``images[i]`` of H, as masks over H's ranks."""
+    return Multihom(tuple(domain), tuple(_encode(H.rank, s) for s in images), H.vertices)
+
+
+def decoded(m):
+    """The images of m as sets of target vertices."""
+    return tuple(m.get(u) for u in m.domain)
 
 
 def nonempty_subsets(verts):
@@ -72,7 +84,7 @@ def brute_cover_pairs(elements):
         (a, b)
         for a in elements
         for b in elements
-        if a != b and all(x <= y for x, y in zip(a.images, b.images))
+        if a != b and all(x <= y for x, y in zip(decoded(a), decoded(b)))
     }
     return {
         (a, b)
@@ -84,27 +96,38 @@ def brute_cover_pairs(elements):
 def test_is_multihom_accepts_and_rejects():
     G = complete_graph(2)
     H = complete_graph(3)
-    good = Multihom(domain=(1, 2), images=(frozenset([1]), frozenset([2, 3])))
+    # as masks over H's ranks, and as a mapping to vertex sets
+    good = multihom((1, 2), H, [1], [2, 3])
     assert is_multihom(G, H, good)
-    bad = Multihom(domain=(1, 2), images=(frozenset([1]), frozenset([1, 2])))
+    assert is_multihom(G, H, {1: {1}, 2: {2, 3}})
+    bad = multihom((1, 2), H, [1], [1, 2])
     assert not is_multihom(G, H, bad)
+    assert not is_multihom(G, H, {1: {1}, 2: {1, 2}})
 
 
 def test_is_multihom_validates_shape():
     G = complete_graph(2)
     H = complete_graph(3)
-    with pytest.raises(ValueError):
-        is_multihom(G, H, Multihom(domain=(1,), images=(frozenset([1]),)))
-    with pytest.raises(ValueError):
-        is_multihom(G, H, Multihom(domain=(1, 2), images=(frozenset(), frozenset([1]))))
-    with pytest.raises(ValueError):
-        is_multihom(G, H, Multihom(domain=(1, 2), images=(frozenset([9]), frozenset([1]))))
+    with pytest.raises(ValueError, match="domain"):
+        is_multihom(G, H, multihom((1,), H, [1]))
+    with pytest.raises(ValueError, match="target"):
+        is_multihom(G, H, multihom((1, 2), complete_graph(4), [1], [2]))
+    with pytest.raises(ValueError, match="no image"):
+        is_multihom(G, H, {1: {1}})
+    with pytest.raises(ValueError, match="empty image"):
+        is_multihom(G, H, multihom((1, 2), H, [], [1]))
+    with pytest.raises(ValueError, match="empty image"):
+        is_multihom(G, H, {1: set(), 2: {9}})
+    with pytest.raises(ValueError, match="leaves the target"):
+        is_multihom(G, H, {1: {9}, 2: {1}})
+    with pytest.raises(ValueError, match="leaves the target"):
+        is_multihom(G, H, Multihom((1, 2), (1 << 3, 1), H.vertices))
 
 
 def test_is_multihom_loop_needs_reflexive_clique_image():
     T = looped_edge_graph()
     H = complete_graph(3)  # loopless target
-    eta = Multihom(domain=("a", "b"), images=(frozenset([1]), frozenset([2])))
+    eta = {"a": {1}, "b": {2}}
     # b carries a loop, so its image must span loops in H; K_3 has none
     assert not is_multihom(T, H, eta)
     Hr = complete_graph(3, loops=True)
@@ -121,9 +144,9 @@ def test_enumerate_matches_brute_force():
     ]
     for H in targets:
         P = enumerate_hom(complete_graph(2), H)
-        assert {e.images for e in P.elements} == brute_hom(complete_graph(2), H)
+        assert set(map(decoded, P)) == brute_hom(complete_graph(2), H)
     P3 = enumerate_hom(complete_graph(3), build_g_kx(core_fixture("delta1"), 1))
-    assert {e.images for e in P3.elements} == brute_hom(
+    assert set(map(decoded, P3)) == brute_hom(
         complete_graph(3), build_g_kx(core_fixture("delta1"), 1)
     )
 
@@ -133,14 +156,14 @@ def test_enumerate_matches_brute_force_random_targets():
     for _ in range(15):
         H = random_graph(rng, n_max=4)
         P = enumerate_hom(complete_graph(2), H)
-        assert {e.images for e in P.elements} == brute_hom(complete_graph(2), H)
+        assert set(map(decoded, P)) == brute_hom(complete_graph(2), H)
 
 
 def test_enumerate_with_looped_domain():
     T = looped_edge_graph()
     H = build_g_kx(core_fixture("delta1"), 1)
     P = enumerate_hom(T, H)
-    assert {e.images for e in P.elements} == brute_hom(T, H)
+    assert set(map(decoded, P)) == brute_hom(T, H)
 
 
 def test_hom_counts_on_containment_graphs():
@@ -181,12 +204,16 @@ def test_poset_covers_match_brute_force():
 
 
 def test_pointwise_order_helpers():
-    a = Multihom(domain=(1, 2), images=(frozenset(["x"]), frozenset(["y"])))
-    b = Multihom(domain=(1, 2), images=(frozenset(["x"]), frozenset(["y", "z"])))
+    H = Graph(["x", "y", "z"], [])
+    a = multihom((1, 2), H, ["x"], ["y"])
+    b = multihom((1, 2), H, ["x"], ["y", "z"])
     assert a.pointwise_le(b)
     assert not b.pointwise_le(a)
     assert a.total_size() == 2 and b.total_size() == 3
     assert b.get(2) == frozenset(["y", "z"])
+    assert str(b) == "({x}|{y,z})"
+    with pytest.raises(ValueError, match="different domains or targets"):
+        a.pointwise_le(multihom((1, 2), Graph(["x", "y"], []), ["x"], ["y"]))
 
 
 def test_enumeration_cap():
@@ -229,6 +256,34 @@ def test_enumeration_work_is_pinned(fixture, source, work):
     with pytest.raises(CapExceeded) as exc:
         enumerate_hom(source, H, cap=work - 1)
     assert exc.value.partial_count == work
+
+
+@pytest.mark.parametrize(
+    "fixture, source, work",
+    [
+        ("delta1", complete_graph(1), 8),
+        ("delta1", complete_graph(2), 29),
+        ("delta1", complete_graph(3), 88),
+        # the looped last vertex prunes entries of its list
+        ("delta1", looped_edge_graph(), 29),
+        ("delta1", Graph([1, 2, 3], [(2, 3)]), 204),
+        ("boundary_delta2", complete_graph(1), 64),
+        ("boundary_delta2", complete_graph(2), 117),
+        ("boundary_delta2", complete_graph(3), 309),
+        ("boundary_delta2", looped_edge_graph(), 116),
+    ],
+)
+def test_every_cap_below_the_work_stops_at_cap_plus_one(fixture, source, work):
+    """A whole list of subsets is charged at once, pruned entries too, yet
+    every cap short of the work stops with exactly cap + 1 tried, as a
+    walk charging one image at a time would, and the work itself is
+    enough."""
+    H = build_g_kx(core_fixture(fixture), 1)
+    for cap in range(work):
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_hom(source, H, cap=cap)
+        assert exc.value.partial_count == cap + 1, cap
+    assert len(enumerate_hom(source, H, cap=work)) == len(enumerate_hom(source, H))
 
 
 def test_enumeration_leaves_no_garbage_cycle():
@@ -289,8 +344,9 @@ def test_restriction_map_drops_last_vertex():
         rho = restriction_map(eta)
         assert rho.domain == (1, 2)
         assert rho.images == eta.images[:2]
+        assert rho.target is eta.target
     with pytest.raises(ValueError):
-        restriction_map(Multihom(domain=(1, 2), images=(frozenset([1]), frozenset([2]))))
+        restriction_map(multihom((1, 2), G, [G.vertices[0]], [G.vertices[1]]))
 
 
 def test_fiber_maximum_dominates_each_fiber():
@@ -311,19 +367,21 @@ def test_fiber_maximum_dominates_each_fiber():
 def test_fiber_maximum_error_paths():
     C4 = Graph(vertices=["a", "b", "c", "d"],
                edges=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-    rho = Multihom(domain=(1, 2), images=(frozenset(["a", "c"]), frozenset(["b"])))
+    rho = multihom((1, 2), C4, ["a", "c"], ["b"])
     with pytest.raises(ValueError, match="no maximum"):
         fiber_maximum(rho, C4)
-    skewed = Multihom(domain=(2, 3), images=(frozenset(["a"]), frozenset(["b"])))
-    with pytest.raises(ValueError):
+    skewed = multihom((2, 3), C4, ["a"], ["c"])
+    with pytest.raises(ValueError, match="complete source"):
         fiber_maximum(skewed, C4)
+    with pytest.raises(ValueError, match="target"):
+        fiber_maximum(rho, complete_graph(4))
 
 
 def oracle_witness(eta, H):
     """The common-neighbor construction run afresh for one eta, with no
     memo: the image of smallest minimum dimension is fused as in
     :func:`common_neighbor_witness`, and the trace compared with its."""
-    images = eta.images
+    images = decoded(eta)
     assert all(isinstance(s, frozenset) for img in images for s in img)
     mins = [min(map(len, img)) for img in images]
     low = min(mins)
@@ -359,13 +417,29 @@ def test_witness_matches_the_fresh_construction_on_every_eta(fixture):
 
 
 def test_equal_images_are_one_object():
-    """Hom(K3, G(boundary_delta3)) builds each distinct image once."""
+    """Hom(K3, G(boundary_delta3)) has 830 distinct image masks, and a
+    mask decodes to the image ``get`` gives wherever it occurs."""
     P = enumerate_hom(complete_graph(3), build_g_kx(core_fixture("boundary_delta3"), 1))
     first = {}
     for eta in P:
-        for img in eta.images:
-            assert first.setdefault(img, img) is img
+        for u, img in zip(eta.domain, eta.images):
+            assert isinstance(img, int)
+            assert first.setdefault(img, eta.get(u)) == eta.get(u)
+            assert _decode(P.target, img) == eta.get(u)
     assert (len(P), len(first)) == (13142, 830)
+
+
+def test_hom_homology_decodes_each_distinct_mask_once(monkeypatch):
+    P = enumerate_hom(complete_graph(2), build_g_kx(core_fixture("boundary_delta2"), 1))
+    decoded_masks = []
+
+    def spy(target, mask):
+        decoded_masks.append(mask)
+        return _decode(target, mask)
+
+    monkeypatch.setattr(homcx.hom, "_decode", spy)
+    hom_homology(P)
+    assert sorted(decoded_masks) == sorted({img for m in P for img in m.images})
 
 
 def test_prop_4_1_fuses_once_per_distinct_key(monkeypatch):
@@ -384,32 +458,30 @@ def test_prop_4_1_fuses_once_per_distinct_key(monkeypatch):
     assert report.artifacts["etas_checked"] == 16144
     [memo] = memos
     assert sum(isinstance(key, tuple) for key in memo) == 1672
-    assert sum(isinstance(key, frozenset) for key in memo) == 830
+    assert sum(isinstance(key, int) for key in memo) == 830
 
 
 def test_witness_trace_on_hand_checked_inputs():
     G = build_g_kx(core_fixture("delta1"), 1)
     f1, f12 = frozenset([1]), frozenset([1, 2])
-    both = frozenset([f1, f12])
+    both = [f1, f12]
     # with no memo, and with one memo for G shared by the three calls
     for memo in (None, {}):
-        tr = common_neighbor_witness(
-            Multihom(domain=(1, 2), images=(frozenset([f1]), frozenset([f12]))), G, memo
-        )
+        tr = common_neighbor_witness(multihom((1, 2), G, [f1], [f12]), G, memo)
         assert tr.k == 1
         assert tr.tau_chain == (f1,)
         assert tr.witness == f1
 
-        tr2 = common_neighbor_witness(Multihom(domain=(1, 2), images=(both, both)), G, memo)
+        tr2 = common_neighbor_witness(multihom((1, 2), G, both, both), G, memo)
         assert tr2.k == 1
         assert tr2.tau_chain == (f1,)
         assert tr2.s_families[0] == (f12,)
         assert tr2.witness == f1
 
-        tr3 = common_neighbor_witness(
-            Multihom(domain=(1, 2), images=(frozenset([f1]), frozenset([f1]))), G, memo
-        )
+        tr3 = common_neighbor_witness(multihom((1, 2), G, [f1], [f1]), G, memo)
         assert tr3.witness == f1
+    with pytest.raises(ValueError, match="target"):
+        common_neighbor_witness(multihom((1, 2), G, [f1], [f1]), complete_graph(3))
 
 
 def test_witness_lies_in_every_neighborhood():
@@ -418,17 +490,18 @@ def test_witness_lies_in_every_neighborhood():
         P = enumerate_hom(complete_graph(n), G)
         for eta in P.elements:
             tr = common_neighbor_witness(eta, G)
-            for img in eta.images:
+            for img in decoded(eta):
                 assert tr.witness in common_neighborhood(G, img), (name, n)
 
 
 def test_witness_needs_simplex_labels():
-    eta = Multihom(domain=(1, 2), images=(frozenset([1]), frozenset([2])))
+    K3 = complete_graph(3)
+    eta = multihom((1, 2), K3, [1], [2])
     # a memo keeps no image that failed, so a second call fails again
     for memo, calls in ((None, 1), ({}, 2)):
         for _ in range(calls):
             with pytest.raises(ValueError, match="simplex-valued"):
-                common_neighbor_witness(eta, complete_graph(3), memo)
+                common_neighbor_witness(eta, K3, memo)
 
 
 @pytest.mark.parametrize("fused_is_a_vertex", [False, True])
@@ -444,11 +517,33 @@ def test_witness_off_the_neighborhoods_fails_its_assertion(fused_is_a_vertex):
     if fused_is_a_vertex:
         vertices, edges = vertices + [s12], edges + [(s1, s12)]
     H = Graph(vertices, edges)
-    eta = Multihom(domain=(1, 2), images=(frozenset([s1, s2]), frozenset([s3])))
+    eta = multihom((1, 2), H, [s1, s2], [s3])
     for memo, calls in ((None, 1), ({}, 2)):
         for _ in range(calls):
             with pytest.raises(AssertionError, match="misses the neighborhood of image 1"):
                 common_neighbor_witness(eta, H, memo)
+
+
+def test_witness_memo_is_checked_against_each_call():
+    """A memo keeps fusions, which hold for any graph on the same target,
+    but each call checks the neighborhoods of its own graph; a memo
+    filled over one target refuses another."""
+    s1, s2, s3, s12 = (frozenset(v) for v in ([1], [2], [3], [1, 2]))
+    vertices = [s1, s2, s3, s12]
+    everywhere = Graph(vertices, [(a, b) for a in vertices for b in vertices])
+    # s12 is adjacent to s1 alone among the others
+    edges = [(a, b) for a in vertices[:3] for b in vertices[:3]] + [(s1, s12)]
+    near_s1 = Graph(vertices, edges)
+    memo = {}
+    eta = multihom((1, 2), everywhere, [s1, s2], [s3])
+    assert common_neighbor_witness(eta, everywhere, memo).witness == s12
+    with pytest.raises(AssertionError, match="misses the neighborhood of image 1"):
+        common_neighbor_witness(multihom((1, 2), near_s1, [s1, s2], [s3]), near_s1, memo)
+    G = build_g_kx(core_fixture("delta1"), 1)
+    f1 = frozenset([1])
+    with pytest.raises(ValueError, match="another target"):
+        common_neighbor_witness(multihom((1, 2), G, [f1], [f1]), G, memo)
+    assert common_neighbor_witness(multihom((1, 2), G, [f1], [f1]), G, {}).witness == f1
 
 
 def test_quillen_conditions_on_edge_complex():
@@ -472,16 +567,39 @@ def test_quillen_pairs_in_closed_form_on_rp2():
     assert rep.fibers_checked == len(enumerate_hom(complete_graph(2), G))
 
 
+def losing(monkeypatch, n, lost):
+    """Make ``homcx.hom``'s enumeration of Hom(K_n, -) miss ``lost``."""
+    complete = enumerate_hom
+
+    def lossy(G, H, cap=None):
+        P = complete(G, H, cap=cap)
+        if len(G.vertices) == n:
+            return homcx.hom.HomPoset(P.domain, [m for m in P if m != lost], P.target)
+        return P
+
+    monkeypatch.setattr(homcx.hom, "enumerate_hom", lossy)
+
+
+def no_pair_loop(monkeypatch):
+    """Make the pair loop's image subsets, its first step, raise."""
+
+    def no_submasks(tops):
+        raise AssertionError("the pair loop ran")
+
+    monkeypatch.setattr(homcx.hom, "submasks", no_submasks)
+
+
 @pytest.mark.parametrize("fixture", ["delta1", "boundary_delta2", "delta2"])
 def test_complete_enumerations_never_generate_the_pairs(monkeypatch, fixture):
     """On a complete enumeration both closure checks hold, so the pair
-    loop and its image subsets are never reached."""
-
-    def no_faces(s):
-        raise AssertionError("the pair loop ran on a complete enumeration")
-
-    monkeypatch.setattr(homcx.hom, "faces", no_faces)
-    assert check_quillen_conditions(3, build_g_kx(core_fixture(fixture), 1)).passed
+    loop and its image subsets are never reached.  The patched subsets
+    are what the loop calls: once an element is lost, it raises."""
+    H = build_g_kx(core_fixture(fixture), 1)
+    no_pair_loop(monkeypatch)
+    assert check_quillen_conditions(3, H).passed
+    losing(monkeypatch, 3, enumerate_hom(complete_graph(3), H).elements[0])
+    with pytest.raises(AssertionError, match="the pair loop ran"):
+        check_quillen_conditions(3, H)
 
 
 def test_quillen_raises_on_a_restriction_missing_from_a_lossy_hom_k2(monkeypatch):
@@ -489,16 +607,36 @@ def test_quillen_raises_on_a_restriction_missing_from_a_lossy_hom_k2(monkeypatch
     closure check, and the pair loop names the missing rho."""
     H = build_g_kx(core_fixture("boundary_delta2"), 1)
     lost = next(m for m in enumerate_hom(complete_graph(2), H) if str(m) == "({{1}}|{{1}})")
-
-    def lossy(G, H, cap=None):
-        P = enumerate_hom(G, H, cap=cap)
-        if len(G.vertices) == 2:
-            return homcx.hom.HomPoset(P.domain, [m for m in P if m != lost], P.target_rank)
-        return P
-
-    monkeypatch.setattr(homcx.hom, "enumerate_hom", lossy)
+    losing(monkeypatch, 2, lost)
     with pytest.raises(AssertionError, match="sub-multihomomorphism is missing"):
         check_quillen_conditions(3, H)
+
+
+def test_quillen_pair_failures_on_a_lossy_hom_k3_are_pinned(monkeypatch):
+    """A Hom(K3, H) that lost ({{1}}|{{1}}|{{1}}) runs the pair loop; its
+    failures are the ones the label-set pair loop listed, in its order."""
+    H = build_g_kx(core_fixture("boundary_delta2"), 1)
+    lost = next(
+        m for m in enumerate_hom(complete_graph(3), H) if str(m) == "({{1}}|{{1}}|{{1}})"
+    )
+    losing(monkeypatch, 3, lost)
+    report = check_quillen_conditions(3, H)
+    assert (report.fibers_checked, report.pairs_checked) == (72, 575)
+    assert report.maximum_failures == ()
+    rho = "({{1}}|{{1}})"
+    assert report.pair_failures == tuple(
+        (rho, eta, "candidate not a multihom")
+        for eta in (
+            "({{1}}|{{1},{1,2}}|{{1}})",
+            "({{1}}|{{1},{1,2},{1,3}}|{{1}})",
+            "({{1}}|{{1},{1,3}}|{{1}})",
+            "({{1},{1,2}}|{{1}}|{{1}})",
+            "({{1},{1,2}}|{{1},{1,2}}|{{1}})",
+            "({{1},{1,2},{1,3}}|{{1}}|{{1}})",
+            "({{1},{1,3}}|{{1}}|{{1}})",
+            "({{1},{1,3}}|{{1},{1,3}}|{{1}})",
+        )
+    )
 
 
 def looped_four_cycle():

@@ -58,17 +58,20 @@ from homcx import (
 from homcx.canon import canonical_order
 from homcx.collapse import _cofacet_state, _facet_union_state, _faces_outside
 from homcx.graphs import _maximal_cliques
+from homcx.hom import _decode, _encode
 from homcx.simplicial import _CoverIndex, faces, maximal_sets, render_simplex
 from test_collapse import free_face_pairs
 from test_homology import boundary_matrices
 from test_nerve import brute_nerve
 
 # Labels of every kind the package builds: ints, simplices (frozensets) and
-# multihomomorphisms over one domain.  label_key separates all of them.
+# multihomomorphisms over one domain and one target.  label_key separates
+# all of them.
 ints = st.integers(-3, 9)
 simplices = st.frozensets(st.integers(1, 6), min_size=1, max_size=3)
+SIX = complete_graph(6)
 multihoms = st.tuples(simplices, simplices).map(
-    lambda images: Multihom(domain=(1, 2), images=images)
+    lambda images: Multihom((1, 2), tuple(_encode(SIX.rank, s) for s in images), SIX.vertices)
 )
 labels = st.one_of(ints, simplices, multihoms)
 
@@ -428,13 +431,21 @@ hom_sources = [
 ]
 
 
+def label_order_key(m):
+    """The label keys of m's images as vertex sets."""
+    return tuple(label_key(m.get(u)) for u in m.domain)
+
+
 def hom_by_scan(G, H):
     """Hom(G, H) as every tuple of nonempty image subsets that is a
-    multihomomorphism."""
+    multihomomorphism, checked and sorted as vertex sets."""
     tuples = product(faces(H.vertices), repeat=len(G.vertices))
-    elements = [Multihom(G.vertices, images) for images in tuples]
-    survivors = [m for m in elements if is_multihom(G, H, m)]
-    return HomPoset(G.vertices, canonical_order(survivors)[0], H.rank)
+    survivors = [
+        Multihom(G.vertices, tuple(_encode(H.rank, img) for img in images), H.vertices)
+        for images in tuples
+        if is_multihom(G, H, dict(zip(G.vertices, images)))
+    ]
+    return HomPoset(G.vertices, sorted(survivors, key=label_order_key), H.vertices)
 
 
 # the scan tries (2^|H| - 1)^|G| tuples: at most 961 for the sources on
@@ -710,12 +721,12 @@ def quillen_by_scan(n, H):
     pair_failures = []
     pairs = 0
     for eta in P:
-        restricted = Multihom(domain=Q.domain, images=eta.images[:-1])
+        restricted = Multihom(Q.domain, eta.images[:-1], eta.target)
         for rho in Q:
             if not rho.pointwise_le(restricted):
                 continue
             pairs += 1
-            candidate = Multihom(domain=P.domain, images=rho.images + (eta.images[-1],))
+            candidate = Multihom(P.domain, rho.images + (eta.images[-1],), eta.target)
             if candidate not in P:
                 pair_failures.append((str(rho), str(eta), "candidate not a multihom"))
                 continue
@@ -750,7 +761,7 @@ def quillen_losing(monkeypatch, H, lost):
     def lossy(G, H, cap=None):
         P = complete(G, H, cap=cap)
         if len(G.vertices) == 3:
-            return HomPoset(P.domain, [m for m in P if m != lost], P.target_rank)
+            return HomPoset(P.domain, [m for m in P if m != lost], P.target)
         return P
 
     monkeypatch.setattr("homcx.hom.enumerate_hom", lossy)
@@ -808,6 +819,62 @@ def test_hom_poset_order_is_the_label_order(source, H):
     # HomPoset keeps the order it is given, so the enumeration must emit it
     elements = enumerate_hom(source, H).elements
     assert elements == canonical_order(elements)[0]
+
+
+hom_orders = (
+    st.sampled_from(
+        [complete_graph(1), complete_graph(2), complete_graph(3), looped_edge_graph()]
+    ),
+    st.one_of(looped_graphs, set_labelled_graphs),
+)
+
+
+@settings(deadline=None)
+@given(*hom_orders)
+def test_mask_key_sorts_multihoms_as_their_label_keys(source, H):
+    elements = enumerate_hom(source, H).elements[::-1]
+    assert sorted(elements, key=Multihom.canonical_key) == sorted(elements, key=label_order_key)
+
+
+@settings(deadline=None)
+@given(*hom_orders)
+def test_image_masks_decode_and_encode_back(source, H):
+    P = enumerate_hom(source, H)
+    for m in P:
+        for u, img in zip(m.domain, m.images):
+            assert _encode(H.rank, _decode(P.target, img)) == img
+            assert _encode(H.rank, m.get(u)) == img
+            assert _decode(P.target, img) == m.get(u)
+
+
+def hom_poset_dict_by_labels(P):
+    """The JSON form of P from its images as vertex sets: covers by
+    dropping one vertex from one image, in the label order."""
+    elements = [tuple(m.get(u) for u in m.domain) for m in P]
+    index = {images: i for i, images in enumerate(elements)}
+    covers = sorted(
+        (index[images[:i] + (img - {v},) + images[i + 1 :]], j)
+        for j, images in enumerate(elements)
+        for i, img in enumerate(images)
+        if len(img) > 1
+        for v in img
+    )
+    return {
+        "domain": [render_label(u) for u in P.domain],
+        "elements": [
+            {render_label(u): [render_label(v) for v in sorted(img, key=label_key)]
+             for u, img in zip(P.domain, images)}
+            for images in elements
+        ],
+        "covers": [list(c) for c in covers],
+    }
+
+
+@settings(deadline=None)
+@given(*hom_orders)
+def test_hom_poset_json_matches_label_drops(source, H):
+    P = enumerate_hom(source, H)
+    assert hom_poset_to_dict(P) == hom_poset_dict_by_labels(P)
 
 
 @settings(deadline=None)
