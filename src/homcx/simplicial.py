@@ -28,6 +28,7 @@ __all__ = [
     "euler_characteristic",
     "maximal_sets",
     "faces",
+    "bits_of",
     "complex_to_dict",
     "render_simplex",
     "complex_from_dict",
@@ -42,6 +43,16 @@ def faces(s: Iterable) -> Iterator[frozenset]:
     members = tuple(s)
     sizes = range(1, len(members) + 1)
     return chain.from_iterable(map(frozenset, combinations(members, r)) for r in sizes)
+
+
+def bits_of(m: int) -> list[int]:
+    """The set bits of the mask ``m`` as one-bit masks, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low)
+        m ^= low
+    return out
 
 
 def submasks(tops: Iterable[int]) -> set[int]:
@@ -214,13 +225,7 @@ class MaskView:
 
     def label(self, m: int) -> frozenset:
         """The vertex set of a mask of this view."""
-        vertex = self.vertex
-        members = []
-        while m:
-            i = m.bit_length() - 1
-            members.append(vertex[i])
-            m ^= 1 << i
-        return frozenset(members)
+        return frozenset([self.vertex[b.bit_length() - 1] for b in bits_of(m)])
 
     def mask(self, s: Iterable[Any]) -> int | None:
         """The mask of a vertex set, or None if it names a vertex the

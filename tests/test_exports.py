@@ -22,3 +22,60 @@ def test_exports_resolve_and_the_package_imports_only_exports():
             exported = importlib.import_module(f"homcx.{node.module}").__all__
             unlisted = [a.name for a in node.names if a.name not in exported]
             assert not unlisted, (node.module, unlisted)
+
+
+# the one home of the bit walk, and the collapse engine's two hot loops,
+# kept inline because the call costs a measurable share of a pass
+BIT_WALKS = {
+    "simplicial.bits_of",
+    "collapse._collapse_free_pairs.unlink",
+    "collapse._cofacet_state",
+}
+
+
+def _walks_bits(loop):
+    """Whether a ``while`` loop strips bits off a mask: it takes a lowest
+    bit, ``x & -x``, or clears ``x ^= 1 << i`` and calls ``bit_length``."""
+    nodes = list(ast.walk(loop))
+    lowest = any(
+        isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.BitAnd)
+        and any(
+            isinstance(neg, ast.UnaryOp)
+            and isinstance(neg.op, ast.USub)
+            and ast.dump(neg.operand) == ast.dump(x)
+            for x, neg in ((n.left, n.right), (n.right, n.left))
+        )
+        for n in nodes
+    )
+    cleared = any(
+        isinstance(n, ast.AugAssign)
+        and isinstance(n.op, ast.BitXor)
+        and isinstance(n.value, ast.BinOp)
+        and isinstance(n.value.op, ast.LShift)
+        for n in nodes
+    ) and any(isinstance(n, ast.Attribute) and n.attr == "bit_length" for n in nodes)
+    return lowest or cleared
+
+
+def _bit_walks(node, name):
+    """The dotted names of the functions under ``node`` with a loop that
+    walks bits."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _bit_walks(child, f"{name}.{child.name}")
+            continue
+        if isinstance(child, ast.While) and _walks_bits(child):
+            yield name
+        yield from _bit_walks(child, name)
+
+
+def test_bit_walks_live_in_one_place():
+    """Walking the set bits of a mask is :func:`homcx.simplicial.bits_of`;
+    no other loop in the package strips bits off a mask by hand, apart
+    from the named collapse loops."""
+    walks = []
+    for path in sorted(Path(homcx.__file__).parent.glob("*.py")):
+        walks += _bit_walks(ast.parse(path.read_text()), path.stem)
+    assert sorted(set(walks) - BIT_WALKS) == []
+    assert BIT_WALKS <= set(walks), "a listed exception no longer walks bits"

@@ -34,6 +34,7 @@ from homcx import (
     restriction_map,
 )
 from homcx.hom import _decode, _encode
+from homcx.simplicial import MaskView
 from test_graphs import random_graph
 
 
@@ -429,17 +430,25 @@ def test_equal_images_are_one_object():
     assert (len(P), len(first)) == (13142, 830)
 
 
-def test_hom_homology_decodes_each_distinct_mask_once(monkeypatch):
+def test_hom_homology_and_homology_decode_nothing(monkeypatch):
+    """The chain complex builder takes masks, so neither homology route
+    decodes an image or a simplex to labels."""
     P = enumerate_hom(complete_graph(2), build_g_kx(core_fixture("boundary_delta2"), 1))
+    rp2 = core_fixture("rp2")
     decoded_masks = []
 
-    def spy(target, mask):
-        decoded_masks.append(mask)
-        return _decode(target, mask)
+    def spy(decode):
+        def recorded(*args):
+            decoded_masks.append(args[-1])
+            return decode(*args)
 
-    monkeypatch.setattr(homcx.hom, "_decode", spy)
+        return recorded
+
+    monkeypatch.setattr(homcx.hom, "_decode", spy(_decode))
+    monkeypatch.setattr(MaskView, "label", spy(MaskView.label))
     hom_homology(P)
-    assert sorted(decoded_masks) == sorted({img for m in P for img in m.images})
+    homology(rp2)
+    assert decoded_masks == []
 
 
 def test_prop_4_1_fuses_once_per_distinct_key(monkeypatch):

@@ -2,7 +2,9 @@
 serialization."""
 
 import random
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -19,6 +21,7 @@ from homcx import (
     order_complex,
     save_complex,
 )
+from homcx.simplicial import bits_of
 
 
 def closure_by_hand(facets):
@@ -53,6 +56,17 @@ def random_complex(rng, n_max=6, f_max=5, dim_max=3):
         k = rng.randint(1, min(n, dim_max + 1))
         facets.append(rng.sample(verts, k))
     return SimplicialComplex.from_facets(facets)
+
+
+def test_bits_of_lists_the_set_bits_lowest_first():
+    rng = random.Random(60)
+    wide = [rng.getrandbits(60) | 1 << 59 for _ in range(20)] + [(1 << 60) - 1, 1 << 59]
+    for m in [*range(1 << 12), *wide]:
+        bits = bits_of(m)
+        assert all(b & (b - 1) == 0 and b > 0 for b in bits), m
+        assert bits == sorted(set(bits)), m
+        assert reduce(or_, bits, 0) == m, m
+        assert len(bits) == m.bit_count(), m
 
 
 def test_closure_matches_enumeration():
