@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 
 from .collapse import StalledCollapse, certificate_to_dict, greedy_collapse, kl_filtration
 from .canon import render_label
@@ -155,7 +156,10 @@ _CAP_HELP = (
 )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; callers only parse with it, and parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="homcx",
         description=(

@@ -111,11 +111,6 @@ class Multihom(NamedTuple):
         order, so this sorts as the images' label keys do."""
         return tuple(map(_ranks, self.images))
 
-    def pointwise_le(self, other: "Multihom") -> bool:
-        if self.domain != other.domain or self.target != other.target:
-            raise ValueError("multihomomorphisms over different domains or targets")
-        return not any(a & ~b for a, b in zip(self.images, other.images))
-
     def total_size(self) -> int:
         return sum(img.bit_count() for img in self.images)
 

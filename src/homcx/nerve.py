@@ -14,7 +14,7 @@ from typing import Any, Iterator
 
 from .canon import label_key, render_label
 from .graphs import build_g_kx
-from .simplicial import SimplicialComplex, complex_to_dict, submasks
+from .simplicial import SimplicialComplex, complex_to_dict, maximal_masks
 
 __all__ = [
     "Cover",
@@ -58,26 +58,34 @@ def star_cover(X: SimplicialComplex) -> Cover:
     return Cover(index=tuple(X.vertices), pieces=pieces)
 
 
-def _intersections(cover: Cover) -> Iterator[tuple[tuple, set]]:
+def _intersections(cover: Cover) -> Iterator[tuple[tuple, list]]:
     """Every tuple of indices, increasing in label order, whose pieces
-    share a simplex, together with the simplices they share, as masks
-    over one bit per vertex of any piece."""
+    share a simplex, with the maximal masks of what they share, over one
+    bit per vertex of any piece.
+
+    A simplex lies in pieces P and Q exactly when it lies under f & g for
+    a facet f of P and a facet g of Q, so a tuple carries only its maximal
+    nonzero facet meets.  Its pieces share a simplex exactly when a meet
+    is left, and a full simplex exactly when only one is: a full simplex
+    holds its top, which lies under a maximal meet, so that meet is the
+    top and every other lies under it.
+    """
     bit: dict[Any, int] = {}
     for i in cover.index:
         for v in cover.pieces[i].vertices:
             bit.setdefault(v, 1 << len(bit))
-    sets = {
-        i: submasks(sum(map(bit.__getitem__, f)) for f in cover.pieces[i].facets)
+    tops = {
+        i: [sum(map(bit.__getitem__, f)) for f in cover.pieces[i].facets]
         for i in cover.index
     }
     order = sorted(cover.index, key=label_key)
-    stack = [((i,), sets[i]) for i in reversed(order) if sets[i]]
+    stack = [((i,), tops[i]) for i in reversed(order) if tops[i]]
     while stack:
-        chosen, common = stack.pop()
-        yield chosen, common
+        chosen, meets = stack.pop()
+        yield chosen, meets
         start = order.index(chosen[-1]) + 1
         for i in order[start:]:
-            meet = common & sets[i]
+            meet = maximal_masks(m & g for m in meets for g in tops[i])
             if meet:
                 stack.append((chosen + (i,), meet))
 
@@ -93,28 +101,14 @@ def cover_union(cover: Cover) -> SimplicialComplex:
     return SimplicialComplex(f for i in cover.index for f in cover.pieces[i].facets)
 
 
-def _is_full_simplex(simplices: set) -> bool:
-    """Whether a set of masks is every nonempty submask of one mask."""
-    top = max(simplices, key=int.bit_count)
-    if not all(s | top == top for s in simplices):
-        return False
-    return len(simplices) == 2 ** top.bit_count() - 1
-
-
 def verify_nerve_theorem_hypotheses(cover: Cover) -> NerveHypothesesReport:
     """Check that every nonempty intersection of pieces is a full simplex
     (in particular nonempty intersections are contractible, so the nerve
     has the same homotopy type as the union)."""
-    checked = 0
-    failures: list[tuple] = []
-    for chosen, common in _intersections(cover):
-        checked += 1
-        if not _is_full_simplex(common):
-            failures.append(chosen)
+    found = [(chosen, len(meets) == 1) for chosen, meets in _intersections(cover)]
+    failures = tuple(chosen for chosen, full in found if not full)
     return NerveHypothesesReport(
-        passed=not failures,
-        intersections_checked=checked,
-        failures=tuple(failures),
+        passed=not failures, intersections_checked=len(found), failures=failures
     )
 
 

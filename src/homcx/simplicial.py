@@ -66,6 +66,12 @@ def submasks(tops: Iterable[int]) -> set[int]:
     return out
 
 
+def maximal_masks(masks: Iterable[int]) -> list[int]:
+    """The inclusion-maximal nonzero masks among ``masks``, each once."""
+    ms = set(masks) - {0}
+    return [m for m in ms if not any(m | d == d != m for d in ms)]
+
+
 class _CoverIndex:
     """Sets indexed by vertex, to test whether s lies under one of them.  A
     set containing s contains each vertex of s, so s is tested only against

@@ -43,6 +43,8 @@ from homcx import (
     verify_kl_collapse_sequence,
     verify_nerve_theorem_hypotheses,
 )
+from test_collapse import removed_in_stage
+from test_hom import pointwise_le
 from test_homology import boundary_matrices, fraction_free_rank
 
 HOM_FIXTURES = ("point", "delta1", "boundary_delta2")
@@ -76,10 +78,10 @@ def test_criterion_02_filtration_collapse_certificates():
         assert replay_certificate(cert), name
         for i in range(len(cert.stages)):
             diff = set(F.complexes[i].simplex_set()) - set(F.complexes[i + 1].simplex_set())
-            assert set(cert.removed_in_stage(i)) == diff, (name, i)
+            assert set(removed_in_stage(cert, i)) == diff, (name, i)
     F = kl_filtration(core_fixture("boundary_delta2"))
     cert = verify_kl_collapse_sequence(F)
-    assert set(cert.removed_in_stage(0)) == {
+    assert set(removed_in_stage(cert, 0)) == {
         frozenset([frozenset([1]), frozenset([2])]),
         frozenset([frozenset([1]), frozenset([2]), frozenset([1, 2])]),
     }
@@ -160,7 +162,7 @@ def test_criterion_07_restriction_fibers_have_unique_maxima():
         for rho in Q.elements:
             members = fibers.get(rho.images, [])
             top = fiber_maximum(rho, G)
-            maxima = [m for m in members if all(x.pointwise_le(m) for x in members)]
+            maxima = [m for m in members if all(pointwise_le(x, m) for x in members)]
             assert maxima == [top], (name, rho)
         # condition (B): the capped extension dominates the fiber below eta
         for eta in P.elements:
@@ -170,9 +172,9 @@ def test_criterion_07_restriction_fibers_have_unique_maxima():
                 mu = Multihom((1, 2, 3), rho.images + (eta.images[2],), eta.target)
                 assert mu in set(P.elements), (name, rho, eta)
                 below = [
-                    nu for nu in fibers.get(rho.images, []) if nu.pointwise_le(eta)
+                    nu for nu in fibers.get(rho.images, []) if pointwise_le(nu, eta)
                 ]
-                assert all(nu.pointwise_le(mu) for nu in below), (name, rho, eta)
+                assert all(pointwise_le(nu, mu) for nu in below), (name, rho, eta)
         rep = check_quillen_conditions(3, G)
         assert rep.passed, name
     print("criterion 7 (restriction fibers: unique maxima and capped extensions): PASS")

@@ -415,3 +415,15 @@ def test_prop_4_1_reports_the_etas_whose_witness_misses(capsys, monkeypatch):
     code, out, _ = run(capsys, argv[:4])
     assert code == 1
     assert "[FAIL] delta1" in out and "overall: FAIL" in out
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once; a value given to one call does not
+    become the default of the next."""
+    assert build_parser() is build_parser()
+    n_values = []
+    for argv in (["verify", "prop-4.1", "--n", "3"], ["verify", "prop-4.1"]):
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        n_values.append({tuple(r["artifacts"]["n_values"]) for r in json.loads(out)["reports"]})
+    assert n_values == [{(3,)}, {(2, 3)}]

@@ -2,6 +2,7 @@
 
 import pytest
 
+import homcx.collapse
 import homcx.verify
 from homcx import (
     CORE_FIXTURE_NAMES,
@@ -24,7 +25,13 @@ from homcx import (
     run_suite,
     verify_kl_collapse_sequence,
 )
+from homcx.collapse import _cofacet_state, _collapse_free_pairs
 from homcx.simplicial import MaskView
+
+
+def removed_in_stage(cert, i):
+    """The simplices stage i of ``cert`` removes, as label sets."""
+    return frozenset(s for step in cert.stages[i] for s in cert.removed(step))
 
 
 def free_face_pairs(X):
@@ -258,7 +265,7 @@ def test_kl_stage_one_removal_on_triangle_boundary():
         frozenset([frozenset([1]), frozenset([2])]),
         frozenset([frozenset([1]), frozenset([2]), frozenset([1, 2])]),
     }
-    assert set(cert.removed_in_stage(0)) == want
+    assert set(removed_in_stage(cert, 0)) == want
 
 
 def test_kl_collapse_verifies_and_replays_on_fixtures():
@@ -271,7 +278,63 @@ def test_kl_collapse_verifies_and_replays_on_fixtures():
         # each stage removes exactly the set difference of consecutive complexes
         for i in range(len(cert.stages)):
             diff = set(F.complexes[i].simplex_set()) - set(F.complexes[i + 1].simplex_set())
-            assert set(cert.removed_in_stage(i)) == diff, (name, i)
+            assert set(removed_in_stage(cert, i)) == diff, (name, i)
+
+
+def recount(state, n):
+    """Whether ``state`` is a fresh count of the cofacets over its keys."""
+    return state == _cofacet_state(set(state), n)
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Every call of the collapse engine, as (n, the state it started
+    from, the bits it allowed, the state it left, its steps), each state
+    left checked when the call returns."""
+    runs = []
+
+    def checked(n, state, bits):
+        start = dict(state)
+        steps = _collapse_free_pairs(n, state, bits)
+        assert recount(state, n)
+        runs.append((n, start, bits, state, steps))
+        return steps
+
+    monkeypatch.setattr(homcx.collapse, "_collapse_free_pairs", checked)
+    return runs
+
+
+@pytest.mark.parametrize("name", CORE_FIXTURE_NAMES)
+def test_engine_leaves_a_recounted_state(engine_runs, name):
+    """The faces the engine leaves carry their cofacet counts over what
+    is left.  On greedy collapse they are the core.  On each stage of the
+    filtration none is left, since the stage reaches the next complex;
+    the faces of a stage's start from some size up are upward-closed
+    too, and there the engine stops part way and is recounted as well."""
+    X = neighborhood_complex(build_g_kx(core_fixture(name), 1))
+    core, cert = greedy_collapse(X)
+    [(_, _, _, state, steps)] = engine_runs
+    assert set(state) == set(X.masks.closure) - {m for step in steps for m in step}
+    assert set(map(X.masks.label, state)) == set(core.simplex_set())
+    assert steps == list(cert.steps)
+    if name == "point":  # the point has no filtration
+        return
+    engine_runs.clear()
+    F = kl_filtration(core_fixture(name))
+    cert = verify_kl_collapse_sequence(F)
+    assert len(engine_runs) == len(cert.stages) == F.p - F.q
+    part_way = 0
+    for (n, start, bits, state, steps), stage in zip(engine_runs, cert.stages):
+        assert state == {}
+        assert tuple(steps) == stage[1:]
+        for size in range(2, n + 1):
+            upper = _cofacet_state({f for f in start if f.bit_count() >= size}, n)
+            for allowed in (bits, (1 << n) - 1):
+                left = dict(upper)
+                _collapse_free_pairs(n, left, allowed)
+                assert recount(left, n)
+                part_way += 0 < len(left) < len(upper)
+    assert part_way or not any(run[1] for run in engine_runs)
 
 
 @pytest.mark.parametrize("name", CORE_FIXTURE_NAMES)

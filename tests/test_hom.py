@@ -38,6 +38,13 @@ from homcx.simplicial import MaskView
 from test_graphs import random_graph
 
 
+def pointwise_le(a, b):
+    """Whether each image of the multihom ``a`` lies in that of ``b``."""
+    if a.domain != b.domain or a.target != b.target:
+        raise ValueError("multihomomorphisms over different domains or targets")
+    return not any(x & ~y for x, y in zip(a.images, b.images))
+
+
 def multihom(domain, H, *images):
     """The Multihom giving the i-th vertex of ``domain`` the vertex set
     ``images[i]`` of H, as masks over H's ranks."""
@@ -208,13 +215,13 @@ def test_pointwise_order_helpers():
     H = Graph(["x", "y", "z"], [])
     a = multihom((1, 2), H, ["x"], ["y"])
     b = multihom((1, 2), H, ["x"], ["y", "z"])
-    assert a.pointwise_le(b)
-    assert not b.pointwise_le(a)
+    assert pointwise_le(a, b)
+    assert not pointwise_le(b, a)
     assert a.total_size() == 2 and b.total_size() == 3
     assert b.get(2) == frozenset(["y", "z"])
     assert str(b) == "({x}|{y,z})"
     with pytest.raises(ValueError, match="different domains or targets"):
-        a.pointwise_le(multihom((1, 2), Graph(["x", "y"], []), ["x"], ["y"]))
+        pointwise_le(a, multihom((1, 2), Graph(["x", "y"], []), ["x"], ["y"]))
 
 
 def test_enumeration_cap():
@@ -362,7 +369,7 @@ def test_fiber_maximum_dominates_each_fiber():
         members = fibers.get(rho.images, [])
         assert top in set(P.elements)
         for eta in members:
-            assert eta.pointwise_le(top)
+            assert pointwise_le(eta, top)
 
 
 def test_fiber_maximum_error_paths():

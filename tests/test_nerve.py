@@ -95,3 +95,34 @@ def test_cover_union_is_vertex_star_complex():
 def test_star_cover_of_empty_complex_rejected():
     with pytest.raises(ValueError):
         star_cover(SimplicialComplex([]))
+
+
+def test_failure_at_a_triple_below_a_full_pair():
+    """P and Q meet in the full edge xy, but R meets that edge in the
+    bare points x and y, so the triple fails where its pair (P, Q)
+    passes.  Were all three pairs full simplices the triple would be one
+    too, the meet of full simplices being the full simplex on the common
+    vertices; here (P, R), (Q, R) and R itself fail as well.  Failures
+    come in the order the tuples are reached, depth first."""
+    P = SimplicialComplex.from_facets([["x", "y", "a"]])
+    Q = SimplicialComplex.from_facets([["x", "y", "b"]])
+    R = SimplicialComplex.from_facets([["x", "a"], ["y", "b"]])
+    cov = Cover(index=("P", "Q", "R"), pieces={"P": P, "Q": Q, "R": R})
+    rep = verify_nerve_theorem_hypotheses(cov)
+    assert not rep.passed
+    assert rep.failures == (("P", "R"), ("P", "Q", "R"), ("Q", "R"), ("R",))
+    assert rep.intersections_checked == len(brute_nerve(cov)) == 7
+
+
+def test_repeated_and_nested_facet_meets_are_one_full_simplex():
+    """The facet meets of P and Q are ab (from ab and ab), and a three
+    more times (from ab and ad, ac and ab, ac and ad), nested in ab: the
+    intersection is the one full edge ab."""
+    P = SimplicialComplex.from_facets([["a", "b"], ["a", "c"]])
+    Q = SimplicialComplex.from_facets([["a", "b"], ["a", "d"]])
+    cov = Cover(index=(1, 2), pieces={1: P, 2: Q})
+    rep = verify_nerve_theorem_hypotheses(cov)
+    # each piece alone is two edges, not a full simplex; their meet is
+    assert rep.failures == ((1,), (2,))
+    assert rep.intersections_checked == 3
+    assert set(nerve_of_cover(cov).simplex_set()) == brute_nerve(cov)

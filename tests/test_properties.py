@@ -61,6 +61,7 @@ from homcx.graphs import _maximal_cliques
 from homcx.hom import _decode, _encode
 from homcx.simplicial import _CoverIndex, faces, maximal_sets, render_simplex
 from test_collapse import free_face_pairs
+from test_hom import pointwise_le
 from test_homology import boundary_matrices
 from test_nerve import brute_nerve
 
@@ -716,22 +717,22 @@ def quillen_by_scan(n, H):
         if top not in P:
             maximum_failures.append((str(rho), "predicted maximum is not a multihom"))
             continue
-        if any(not m.pointwise_le(top) for m in fiber):
+        if any(not pointwise_le(m, top) for m in fiber):
             maximum_failures.append((str(rho), "fiber member above predicted maximum"))
     pair_failures = []
     pairs = 0
     for eta in P:
         restricted = Multihom(Q.domain, eta.images[:-1], eta.target)
         for rho in Q:
-            if not rho.pointwise_le(restricted):
+            if not pointwise_le(rho, restricted):
                 continue
             pairs += 1
             candidate = Multihom(P.domain, rho.images + (eta.images[-1],), eta.target)
             if candidate not in P:
                 pair_failures.append((str(rho), str(eta), "candidate not a multihom"))
                 continue
-            below = [m for m in fibers.get(rho.images, []) if m.pointwise_le(eta)]
-            if any(not m.pointwise_le(candidate) for m in below):
+            below = [m for m in fibers.get(rho.images, []) if pointwise_le(m, eta)]
+            if any(not pointwise_le(m, candidate) for m in below):
                 pair_failures.append((str(rho), str(eta), "candidate not maximal"))
     return QuillenReport(
         n=n,
