@@ -68,6 +68,15 @@ class Graph:
         rank = self.rank
         return tuple(sum(1 << rank[w] for w in self._adj[v]) for v in self.vertices)
 
+    @cached_property
+    def _subset_lists(self) -> dict:
+        """The subset lists :func:`homcx.hom.enumerate_hom` has built into
+        this graph, by (has_later, looped) and then by pool.  A list
+        depends on the target alone, not on the source, so every
+        enumeration into this graph shares them; they live as long as
+        the graph."""
+        return {}
+
     def has_edge(self, a: Any, b: Any) -> bool:
         return b in self._adj[a] if a in self._adj else False
 

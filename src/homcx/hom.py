@@ -312,19 +312,23 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
     the target's ranks that those images carry.  Each image grows one
     target vertex at a time, in rank order, and a branch is pruned as
     soon as no superset can be an image (:func:`_grown`).  The subsets
-    tried at a source position depend only on it and its pool, so each
-    (position, pool) list is built once per call and reused; the last
-    position appends its whole list at once.  Extensions wait on a stack, not in
-    recursion, and are taken depth first, so the elements come out in
-    the label order of multihoms.  Images are masks over ``H.vertices``;
-    no label is decoded.
+    tried at a source position depend only on its pool, whether it has
+    later neighbors and whether it is looped, so each (pool, has_later,
+    looped) list is built once per target graph, kept on ``H``, and
+    reused by every enumeration into ``H``, whatever its source; the
+    last position appends its whole list at once.  Extensions wait on a
+    stack, not in recursion, and are taken depth first, so the elements
+    come out in the label order of multihoms.  Images are masks over
+    ``H.vertices``; no label is decoded.
 
     The cap bounds the work: every partial assignment tried counts, kept
     or pruned, the empty one at the root included, and CapExceeded is
     raised, with the count ``cap + 1``, once more than ``cap`` have been
-    tried.  A (position, pool) list is charged in full, pruned entries
-    too, before any of it is used, and stops being built once it alone
-    would pass the cap, so the lists held are bounded by the work.  Each
+    tried.  A subset list is charged in full, pruned entries too, before
+    any of it is used, whether this call built it or an earlier one did.
+    A list stops being built once it alone would pass the cap, and such
+    a list is never kept, so the lists held are bounded by the work and
+    the count is the same on a fresh graph as on a filled one.  Each
     element is an assignment tried, so a run within the cap has at most
     ``cap`` elements.
     """
@@ -346,8 +350,10 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
         for j in js:
             has_later[j] = True
     looped = [G.has_loop(u) for u in gverts]
+    # each position's lists, by pool, shared with every enumeration into H
+    lists = H._subset_lists
+    by_pool = [lists.setdefault(flags, {}) for flags in zip(has_later, looped)]
     everything = (1 << len(nbrs)) - 1
-    grown: dict[tuple, tuple] = {}
     found: list[Multihom] = []
     stack: list[Iterator[tuple]] = [iter([((), ())])]
     while stack:
@@ -361,12 +367,13 @@ def enumerate_hom(G: Graph, H: Graph, cap: int | None = None) -> HomPoset:
                 pool &= meets[j]
             if not pool:
                 continue
-            entry = grown.get((idx, pool))
+            grown = by_pool[idx]
+            entry = grown.get(pool)
             if entry is None:
                 entry = _grown(pool, nbrs, has_later[idx], looped[idx], cap - tried)
                 if entry is None:
                     raise CapExceeded(cap=cap, partial_count=cap + 1)
-                grown[idx, pool] = entry
+                grown[pool] = entry
             count, kept, kept_meets = entry
             tried += count
             if tried > cap:
@@ -478,14 +485,18 @@ def common_neighbor_witness(eta: Multihom, H: Graph, memo: dict | None = None) -
     remaining member incomparable with the current tau.  The resulting
     vertex is comparable with every member of every image; membership in
     the actual common neighborhood is asserted, image by image, before
-    returning.
+    returning.  A witness that is a vertex of H is H's own vertex
+    object.
 
-    The fusion depends only on k and the k-th image.  ``memo``, a dict
-    the caller keeps, holds each image mask's validated minimum member
-    size and each fusion by (k, image mask), so etas that share them fuse
-    once.  Masks mean vertices only over one target, so the memo records
-    the target it was filled for and refuses any other with a
-    ValueError.  The neighborhood check reads H on every call.
+    The fusion depends only on the chosen image, and the trace on k and
+    that image.  ``memo``, a dict the caller keeps, holds each image
+    mask's validated minimum member size, each image's fusion, with its
+    witness's rank in the target, by the 1-tuple of the mask, and each
+    trace, with that rank, by (k, image mask).  So every image is fused
+    once, whatever k it is chosen at.  Masks and ranks mean vertices
+    only over one target, so the memo records the target it was filled
+    for and refuses any other with a ValueError.  The neighborhood check
+    reads H on every call.
     """
     if memo is None:
         memo = {}
@@ -497,23 +508,32 @@ def common_neighbor_witness(eta: Multihom, H: Graph, memo: dict | None = None) -
     if filled_for is not target and filled_for != target:
         raise ValueError("the witness memo was filled for another target")
     images = eta.images
-    mins = [*map(memo.get, images)]
-    if None in mins:
-        for i, img in enumerate(images):
-            if mins[i] is None:
+    # the first image of the smallest minimum
+    try:
+        chosen = min(images, key=memo.__getitem__)
+    except KeyError:
+        for img in images:
+            if img not in memo:
                 members = [target[r] for r in _ranks(img)]
                 if not all(isinstance(s, frozenset) for s in members):
                     raise ValueError("witness construction needs simplex-valued target vertices")
-                mins[i] = memo[img] = min(map(len, members))
-    low = min(mins)
-    k = mins.index(low) + 1
-    key = (k, images[k - 1])
-    trace = memo.get(key)
-    if trace is None:
-        trace = memo[key] = _fusion(k, images[k - 1], low, target)
+                memo[img] = min(map(len, members))
+        chosen = min(images, key=memo.__getitem__)
+    key = (images.index(chosen) + 1, chosen)
+    entry = memo.get(key)
+    if entry is None:
+        fused = memo.get((chosen,))
+        if fused is None:
+            fusion = _fusion(key[0], chosen, memo[chosen], target)
+            fused = memo[(chosen,)] = (fusion, H.rank.get(fusion.witness))
+        fusion, r = fused
+        # the fusion's own k is the first k it was chosen at
+        witness = fusion.witness if r is None else target[r]
+        trace = WitnessTrace(key[0], fusion.i1, fusion.tau_chain, fusion.s_families, witness)
+        entry = memo[key] = (trace, r)
+    trace, r = entry
     # adjacency is symmetric: the witness lies in cn(img) iff img lies in
     # N(witness), the mask near
-    r = H.rank.get(trace.witness)
     near = 0 if r is None else H.neighbor_masks[r]
     if reduce(or_, images) & ~near:
         i = next(i for i, img in enumerate(images, start=1) if img & ~near)

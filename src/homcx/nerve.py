@@ -10,6 +10,7 @@ full simplex, which is exactly the hypothesis a nerve argument needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterator
 
 from .canon import label_key, render_label
@@ -29,13 +30,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Cover:
-    """Indexed family of subcomplexes."""
+    """Indexed family of subcomplexes.  Its intersections are walked once,
+    on first use, and kept with the cover, so the pieces must not change
+    after that."""
 
     index: tuple
     pieces: dict
 
     def piece(self, i: Any) -> SimplicialComplex:
         return self.pieces[i]
+
+    @cached_property
+    def _meets(self) -> tuple:
+        """The walk of :func:`_intersections`, taken on first use and
+        shared by the nerve and the hypothesis check."""
+        return tuple(_intersections(self))
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,7 @@ def _intersections(cover: Cover) -> Iterator[tuple[tuple, list]]:
 def nerve_of_cover(cover: Cover) -> SimplicialComplex:
     """Nerve: a finite set of indices spans a simplex exactly when the
     corresponding pieces share at least one simplex."""
-    return SimplicialComplex(frozenset(chosen) for chosen, _ in _intersections(cover))
+    return SimplicialComplex(frozenset(chosen) for chosen, _ in cover._meets)
 
 
 def cover_union(cover: Cover) -> SimplicialComplex:
@@ -105,7 +114,7 @@ def verify_nerve_theorem_hypotheses(cover: Cover) -> NerveHypothesesReport:
     """Check that every nonempty intersection of pieces is a full simplex
     (in particular nonempty intersections are contractible, so the nerve
     has the same homotopy type as the union)."""
-    found = [(chosen, len(meets) == 1) for chosen, meets in _intersections(cover)]
+    found = [(chosen, len(meets) == 1) for chosen, meets in cover._meets]
     failures = tuple(chosen for chosen, full in found if not full)
     return NerveHypothesesReport(
         passed=not failures, intersections_checked=len(found), failures=failures

@@ -79,3 +79,39 @@ def test_bit_walks_live_in_one_place():
         walks += _bit_walks(ast.parse(path.read_text()), path.stem)
     assert sorted(set(walks) - BIT_WALKS) == []
     assert BIT_WALKS <= set(walks), "a listed exception no longer walks bits"
+
+
+# the one cached module-level function: the parser takes no input
+CACHED_FUNCTIONS = {"cli.build_parser"}
+CACHES = {"cache", "lru_cache"}
+
+
+def _cache_name(node):
+    """``cache`` or ``lru_cache`` when ``node`` names one (bare, as an
+    attribute such as ``functools.cache``, or called with arguments)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr if node.attr in CACHES else None
+    if isinstance(node, ast.Name):
+        return node.id if node.id in CACHES else None
+    return None
+
+
+def test_no_module_level_function_caches_across_calls():
+    """State that outlives one call hangs off an input object (a
+    ``Graph``, a ``Cover``), so it lives exactly as long as that object;
+    no module-level function under homcx is wrapped in ``functools.cache``
+    or ``lru_cache``, whose store would outlive every input, apart from
+    the input-free parser builder."""
+    cached = []
+    for path in sorted(Path(homcx.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_cache_name(d) for d in node.decorator_list):
+                    cached.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                if isinstance(node.value, ast.Call) and _cache_name(node.value.func):
+                    cached.append(f"{path.stem}.{ast.unparse(node.value)}")
+    assert sorted(set(cached) - CACHED_FUNCTIONS) == []
+    assert CACHED_FUNCTIONS <= set(cached), "a listed exception is no longer cached"

@@ -269,6 +269,75 @@ def test_enumeration_work_is_pinned(fixture, source, work):
 @pytest.mark.parametrize(
     "fixture, source, work",
     [
+        ("delta2", complete_graph(2), 669),
+        ("delta2", complete_graph(3), 3448),
+        ("delta2", looped_edge_graph(), 601),
+        ("delta2", Graph([1, 2, 3], [(2, 3)]), 84964),
+        ("boundary_delta3", complete_graph(2), 5288),
+        ("boundary_delta3", complete_graph(3), 18430),
+    ],
+)
+def test_enumeration_work_is_pinned_on_a_filled_target(fixture, source, work):
+    """Subset lists another source built into the target are charged in
+    full again, so the work and the cap + 1 stop are those of a fresh
+    target."""
+    H = build_g_kx(core_fixture(fixture), 1)
+    other = complete_graph(2) if source == complete_graph(3) else complete_graph(3)
+    enumerate_hom(other, H)
+    assert H._subset_lists
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_hom(source, H, cap=work - 1)
+    assert exc.value.partial_count == work
+    fresh = build_g_kx(core_fixture(fixture), 1)
+    assert len(enumerate_hom(source, H, cap=work)) == len(enumerate_hom(source, fresh))
+
+
+def _spy_grown(monkeypatch):
+    """The (pool, has_later, looped) key of every subset list built."""
+    built = []
+    grown = homcx.hom._grown
+
+    def spy(pool, nbrs, has_later, looped, budget):
+        built.append((pool, has_later, looped))
+        return grown(pool, nbrs, has_later, looped, budget)
+
+    monkeypatch.setattr(homcx.hom, "_grown", spy)
+    return built
+
+
+def test_subset_lists_are_built_once_per_target(monkeypatch):
+    """Hom(K2, H) and then Hom(K3, H) build each distinct subset list
+    once: the K3 walk reuses the 137 lists of the K2 walk and builds the
+    other 136 of its 273."""
+    built = _spy_grown(monkeypatch)
+    H = build_g_kx(core_fixture("boundary_delta3"), 1)
+    enumerate_hom(complete_graph(2), H)
+    assert len(built) == 137
+    enumerate_hom(complete_graph(3), H)
+    assert len(built) == len(set(built)) == 273
+    enumerate_hom(complete_graph(3), H)
+    enumerate_hom(complete_graph(2), H)
+    assert len(built) == 273
+
+
+def test_two_graphs_share_no_subset_list(monkeypatch):
+    """Subset lists live on the graph object they were built over, so a
+    graph built again, equal to the first, starts with none."""
+    built = _spy_grown(monkeypatch)
+    X = core_fixture("boundary_delta3")
+    first, second = build_g_kx(X, 1), build_g_kx(X, 1)
+    assert first == second
+    enumerate_hom(complete_graph(3), first)
+    assert "_subset_lists" not in vars(second)
+    enumerate_hom(complete_graph(3), second)
+    assert len(built) == 2 * 273
+    assert built[:273] == built[273:]
+    assert first._subset_lists is not second._subset_lists
+
+
+@pytest.mark.parametrize(
+    "fixture, source, work",
+    [
         ("delta1", complete_graph(1), 8),
         ("delta1", complete_graph(2), 29),
         ("delta1", complete_graph(3), 88),
@@ -424,6 +493,24 @@ def test_witness_matches_the_fresh_construction_on_every_eta(fixture):
             assert common_neighbor_witness(eta, H, memo) == want, (fixture, str(eta))
 
 
+@pytest.mark.parametrize("fixture", ["delta2", "wedge_triangles", "boundary_delta3"])
+def test_witness_does_not_depend_on_memo_order(fixture):
+    """A memo filled from Hom(K3, H) first and one filled from Hom(K2, H)
+    first give every eta the fresh construction's trace: an image fused
+    at one k carries no k into a trace at another.  Each witness is H's
+    own vertex object."""
+    H = build_g_kx(core_fixture(fixture), 1)
+    posets = {n: enumerate_hom(complete_graph(n), H) for n in (2, 3)}
+    wanted = {n: [oracle_witness(eta, H) for eta in P] for n, P in posets.items()}
+    for order in ((3, 2), (2, 3)):
+        memo = {}
+        for n in order:
+            for eta, want in zip(posets[n], wanted[n]):
+                trace = common_neighbor_witness(eta, H, memo)
+                assert trace == want, (fixture, order, str(eta))
+                assert trace.witness is H.vertices[H.rank[trace.witness]]
+
+
 def test_equal_images_are_one_object():
     """Hom(K3, G(boundary_delta3)) has 830 distinct image masks, and a
     mask decodes to the image ``get`` gives wherever it occurs."""
@@ -459,22 +546,34 @@ def test_hom_homology_and_homology_decode_nothing(monkeypatch):
 
 
 def test_prop_4_1_fuses_once_per_distinct_key(monkeypatch):
-    """prop-4.1 checks every eta, but its memo on boundary_delta3 holds
-    one fusion per distinct (k, image) and one minimum per image."""
+    """prop-4.1 checks every eta, but on boundary_delta3 it fuses each
+    distinct chosen image once, whatever k it is chosen at, and its memo
+    holds one fusion per such image, one trace per distinct (k, image)
+    and one minimum per image."""
     memos = []
+    fusions = []
 
     def spy(eta, H, memo=None):
         if not any(m is memo for m in memos):
             memos.append(memo)
         return common_neighbor_witness(eta, H, memo)
 
+    def fusion_spy(k, chosen, low, target):
+        fusions.append(chosen)
+        return fuse(k, chosen, low, target)
+
+    fuse = homcx.hom._fusion
     monkeypatch.setattr(homcx.verify, "common_neighbor_witness", spy)
+    monkeypatch.setattr(homcx.hom, "_fusion", fusion_spy)
     report = homcx.verify.run_suite("prop-4.1", fixtures=["boundary_delta3"]).reports[0]
     assert report.passed
     assert report.artifacts["etas_checked"] == 16144
+    assert len(fusions) == len(set(fusions)) == 668
     [memo] = memos
-    assert sum(isinstance(key, tuple) for key in memo) == 1672
-    assert sum(isinstance(key, int) for key in memo) == 830
+    keys = [key for key in memo if key is not None]
+    assert sum(isinstance(key, tuple) and len(key) == 1 for key in keys) == 668
+    assert sum(isinstance(key, tuple) and len(key) == 2 for key in keys) == 1672
+    assert sum(isinstance(key, int) for key in keys) == 830
 
 
 def test_witness_trace_on_hand_checked_inputs():

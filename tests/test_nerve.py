@@ -4,6 +4,8 @@ from itertools import combinations
 
 import pytest
 
+import homcx.nerve
+import homcx.verify
 from homcx import (
     Cover,
     SimplicialComplex,
@@ -126,3 +128,31 @@ def test_repeated_and_nested_facet_meets_are_one_full_simplex():
     assert rep.failures == ((1,), (2,))
     assert rep.intersections_checked == 3
     assert set(nerve_of_cover(cov).simplex_set()) == brute_nerve(cov)
+
+
+def test_prop_3_1_walks_each_cover_once(monkeypatch):
+    """prop-3.1 takes the nerve and the hypotheses of each star cover from
+    one walk of its intersections, and both answer as on a cover walked
+    in the other order, and as the brute-force nerve does."""
+    walked = []
+    walk = homcx.nerve._intersections
+
+    def spy(cover):
+        walked.append(cover)
+        return walk(cover)
+
+    monkeypatch.setattr(homcx.nerve, "_intersections", spy)
+    suite = homcx.verify.run_suite("prop-3.1", fixtures=list(FIXTURES))
+    assert [r.passed for r in suite.reports] == [True] * len(FIXTURES)
+    assert len(walked) == len({id(c) for c in walked}) == len(FIXTURES)
+    for name in FIXTURES:
+        X = core_fixture(name)
+        nerve_first, hyp_first = star_cover(X), star_cover(X)
+        walked.clear()
+        nerve = nerve_of_cover(nerve_first)
+        hyp = verify_nerve_theorem_hypotheses(nerve_first)
+        assert walked == [nerve_first], name
+        assert verify_nerve_theorem_hypotheses(hyp_first) == hyp, name
+        assert nerve_of_cover(hyp_first) == nerve == X, name
+        assert set(nerve.simplex_set()) == brute_nerve(hyp_first), name
+        assert hyp.passed and hyp.intersections_checked == len(brute_nerve(hyp_first)), name
