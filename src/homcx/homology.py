@@ -12,6 +12,21 @@ the dense Smith reduction, which works on arbitrary-precision Python
 ints with gcd-driven elimination, pivoting on a smallest-magnitude
 nonzero entry.
 
+The boundaries are reduced from the top dimension down, with clearing
+(Chen and Kerber, "Persistent homology computation with a twist",
+EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and compress", 2014).
+Say the unit loop of d_{k+1} pivots on row r.  Every column it works on
+is an integer combination of the columns of d_{k+1}, so the pivot column
+is a boundary c with c_r = +-1, and d_k c = 0 puts column r of d_k in
+the integer span of the columns of d_k at the other rows of c.  None of
+those rows is an earlier pivot, since each pivot clears its row from
+every other column.  Going back from the last pivot, every pivot-row
+column of d_k is then an integer combination of the columns on rows the
+unit loop did not pivot on.  Leaving the pivot-row columns out keeps the
+lattice the columns of d_k span, and with it the rank of d_k and its
+nonzero Smith diagonal.  Rows settled by the dense residue are not
+cleared.
+
 Profiles are printed up to their homological dimension, by
 :meth:`HomologyProfile.to_dict`.
 """
@@ -20,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .simplicial import SimplicialComplex, bits_of
 
@@ -212,7 +227,16 @@ def sparse_smith_normal_form(
     to the diagonal.  Once no +-1 entry is left, the residue goes to
     :func:`smith_normal_form`.  All arithmetic is exact.
     """
-    cols = {j: dict(c) for j, c in enumerate(columns) if c}
+    return _sparse_snf(columns, n_rows, ())[0]
+
+
+def _sparse_snf(
+    columns: Sequence[Mapping[int, int]], n_rows: int, skip: Collection[int]
+) -> tuple[SNFResult, set[int]]:
+    """The elimination of :func:`sparse_smith_normal_form` on the columns
+    outside ``skip``, and the rows it pivoted on in the unit loop.  The
+    shape is still that of all the columns."""
+    cols = {j: dict(c) for j, c in enumerate(columns) if c and j not in skip}
     rows: dict[int, set[int]] = {}
     for j, c in cols.items():
         for i in c:
@@ -221,7 +245,7 @@ def sparse_smith_normal_form(
     # is out of date is stale, and a row never misses a unit it gains
     heap = [(len(js), i) for i, js in rows.items()]
     heapq.heapify(heap)
-    units = 0
+    pivot_rows: set[int] = set()
     while heap:
         count, r = heapq.heappop(heap)
         js = rows.get(r)
@@ -260,7 +284,7 @@ def sparse_smith_normal_form(
                 heapq.heappush(heap, (len(rows[i]), i))
             else:
                 del rows[i]
-        units += 1
+        pivot_rows.add(r)
     residue_rows = sorted(rows)
     at = {i: t for t, i in enumerate(residue_rows)}
     residue = []
@@ -271,8 +295,9 @@ def sparse_smith_normal_form(
         residue.append(dense)
     # the residue's transpose has the same Smith form
     tail = smith_normal_form(residue).diagonal
-    diagonal = (1,) * units + tail
-    return SNFResult(diagonal=diagonal, rank=len(diagonal), shape=(n_rows, len(columns)))
+    diagonal = (1,) * len(pivot_rows) + tail
+    snf = SNFResult(diagonal=diagonal, rank=len(diagonal), shape=(n_rows, len(columns)))
+    return snf, pivot_rows
 
 
 def chain_homology(
@@ -283,14 +308,21 @@ def chain_homology(
     mapping the indices of (k-1)-cells to their incidence numbers.
 
     Betti numbers come from the ranks, torsion from the Smith diagonals.
-    The boundary of every boundary is checked to vanish first."""
+    The boundary of every boundary is checked to vanish first, on every
+    column.  The boundaries are then reduced from the top dimension down,
+    with clearing: the columns of d_k at the rows where the unit loop of
+    d_{k+1} pivoted are left out, which keeps the lattice d_k spans and
+    so its rank and its nonzero Smith diagonal (see the module
+    docstring)."""
     if len(columns) != max(len(counts) - 1, 0):
         raise ValueError("need one list of boundary columns per positive dimension")
     _check_boundary_squared(columns)
-    snfs = [
-        sparse_smith_normal_form(columns[k - 1], counts[k - 1])
-        for k in range(1, len(counts))
-    ]
+    snfs: list[SNFResult] = []
+    cleared: set[int] = set()
+    for k in range(len(columns), 0, -1):
+        snf, cleared = _sparse_snf(columns[k - 1], counts[k - 1], cleared)
+        snfs.append(snf)
+    snfs.reverse()
     ranks = [0] + [snf.rank for snf in snfs] + [0]
     diagonals = [snf.diagonal for snf in snfs] + [()]
     return HomologyProfile(

@@ -14,7 +14,7 @@ on the masks, and decode a mask to its labels only to report it.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, groupby, permutations
 from typing import Any, Callable, Iterable, Iterator
 
 from .canon import canonical_order, render_label
@@ -94,16 +94,22 @@ class _CoverIndex:
 
 
 def maximal_sets(sets: Iterable[frozenset]) -> list[frozenset]:
-    """Inclusion-maximal members of a family of frozensets.
+    """Inclusion-maximal members of a family of frozensets, each once,
+    largest first.
 
-    Sets are taken largest first, and each is kept unless a kept set
-    covers it.
+    Sets are taken in size groups, largest first, and each is kept unless
+    a kept set covers it.  Two distinct sets of one size never contain each
+    other, so a set is tested only against the strictly larger kept sets:
+    the kept sets join the index only once a smaller group comes up, and
+    a family of one size makes no test and builds no index at all.
     """
-    kept = _CoverIndex()
-    for s in sorted(set(sets), key=len, reverse=True):
-        if not kept.covers(s):
-            kept.add(s)
-    return kept.sets
+    kept: list[frozenset] = []
+    index = _CoverIndex()
+    for _, group in groupby(sorted(set(sets), key=len, reverse=True), key=len):
+        for t in kept[len(index.sets) :]:
+            index.add(t)
+        kept += [s for s in group if not index.covers(s)] if kept else group
+    return kept
 
 
 class SimplicialComplex:

@@ -3,6 +3,7 @@ filtration collapse verifier, of clique search, of the homology engine
 and of the Hom fiber checks against their slow definitions, and the
 paper's constructions against their definitions."""
 
+import random
 from itertools import product
 
 import pytest
@@ -59,6 +60,7 @@ from homcx.canon import canonical_order
 from homcx.collapse import _cofacet_state, _facet_union_state, _faces_outside
 from homcx.graphs import _maximal_cliques
 from homcx.hom import _decode, _encode
+from homcx.homology import _sparse_snf, chain_complex
 from homcx.simplicial import _CoverIndex, faces, maximal_sets, render_simplex
 from test_collapse import free_face_pairs
 from test_hom import pointwise_le
@@ -104,13 +106,58 @@ def test_size_sort_of_label_order_is_simplex_order(family):
     assert sorted(ordered, key=len) == sorted(family, key=slow_simplex_key)
 
 
+set_families = st.lists(st.frozensets(st.integers(1, 8), max_size=5), max_size=25)
+# prefixes of one vertex order, so every two of them are nested
+nested_chains = st.permutations(range(1, 9)).flatmap(
+    lambda p: st.lists(st.integers(0, 8), max_size=6).map(
+        lambda cuts: [frozenset(p[:i]) for i in cuts]
+    )
+)
+
+
 @settings(deadline=None)
-@given(st.lists(st.frozensets(st.integers(1, 8), max_size=5), max_size=25))
+@given(
+    st.one_of(
+        set_families,
+        # a family with its first sets repeated, and a chain folded in
+        st.tuples(set_families, nested_chains, st.integers(0, 25)).map(
+            lambda t: t[0] + t[1] + t[0][: t[2]]
+        ),
+    )
+)
+@example([frozenset()])
+@example([frozenset({1}), frozenset({1}), frozenset(), frozenset({1, 2}), frozenset({1, 2})])
 def test_maximal_sets_matches_definition(family):
     pool = set(family)
     kept = maximal_sets(family)
     assert len(kept) == len(set(kept))
     assert set(kept) == {s for s in pool if not any(s < t for t in pool)}
+
+
+def covers_calls(monkeypatch):
+    """The sizes of the sets the cover index is asked about."""
+    sizes = []
+    covers = _CoverIndex.covers
+
+    def counted(self, s):
+        sizes.append(len(s))
+        return covers(self, s)
+
+    monkeypatch.setattr(_CoverIndex, "covers", counted)
+    return sizes
+
+
+def test_maximal_sets_tests_only_sets_below_the_largest(monkeypatch):
+    facets = list(barycentric_subdivision(core_fixture("rp2"), 2).facets)
+    sizes = covers_calls(monkeypatch)
+    # a pure family: no two of its sets can contain each other
+    assert set(maximal_sets(facets + facets[:7])) == set(facets)
+    assert sizes == []
+    # with faces of some facets mixed in, only those faces are tested
+    faces_of = [frozenset(list(f)[:k]) for f in facets[:40] for k in (1, 2)]
+    assert set(maximal_sets(faces_of + facets)) == set(facets)
+    assert len(sizes) == len(set(faces_of))
+    assert max(sizes) < max(map(len, facets))
 
 
 complexes = st.lists(
@@ -373,6 +420,89 @@ def dense_homology(X):
 @given(complexes)
 def test_homology_matches_dense_smith_form(X):
     assert homology(X) == dense_homology(X)
+
+
+# the dense oracle for one boundary: pure-Python Smith reduction takes
+# seconds past a few thousand entries
+DENSE_ENTRIES = 4000
+
+
+def assert_clearing_keeps_smith_forms(counts, columns, widen=lambda skip: skip):
+    """Run chain_homology's cleared elimination, top dimension down, and
+    hold each boundary's Smith form to the uncleared one of all its
+    columns and, where the matrix is small enough, to the dense Smith
+    form.  ``widen`` grows each skip set, to show that the check fails."""
+    skip = set()
+    for k in range(len(columns), 0, -1):
+        cleared, pivots = _sparse_snf(columns[k - 1], counts[k - 1], widen(skip))
+        assert cleared == sparse_smith_normal_form(columns[k - 1], counts[k - 1]), k
+        if counts[k - 1] * counts[k] <= DENSE_ENTRIES:
+            M = [[0] * counts[k] for _ in range(counts[k - 1])]
+            for j, column in enumerate(columns[k - 1]):
+                for i, a in column.items():
+                    M[i][j] = a
+            assert cleared == smith_normal_form(M), k
+        skip = pivots
+
+
+def simplicial_chains(X):
+    """The cell counts and boundary columns that homology(X) eliminates."""
+    view = X.masks
+    cells, columns = chain_complex((m,) for m in sorted(view.closure, key=view.key))
+    return [len(c) for c in cells], columns
+
+
+def relabelled_complex(X, seed):
+    labels = list(X.vertices)
+    mapping = dict(zip(labels, random.Random(seed).sample(labels, len(labels))))
+    return SimplicialComplex(frozenset(map(mapping.get, f)) for f in X.facets)
+
+
+CLEARED_COMPLEXES = {
+    **{name: core_fixture(name) for name in CORE_FIXTURE_NAMES},
+    **{
+        f"N(G({name}))": neighborhood_complex(build_g_kx(core_fixture(name)))
+        for name in CORE_FIXTURE_NAMES
+    },
+    **{
+        f"sd2({name})": barycentric_subdivision(relabelled_complex(core_fixture(name), seed), 2)
+        for name, seed in (("rp2", 29), ("boundary_delta3", 30))
+    },
+}
+
+
+@pytest.mark.parametrize("name", CLEARED_COMPLEXES)
+def test_clearing_keeps_every_smith_form(name):
+    X = CLEARED_COMPLEXES[name]
+    counts, columns = simplicial_chains(X)
+    assert_clearing_keeps_smith_forms(counts, columns)
+    if all(a * b <= DENSE_ENTRIES for a, b in zip(counts, counts[1:])):
+        assert homology(X) == dense_homology(X)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["point", "delta1", "boundary_delta2", "delta2"])
+def test_clearing_keeps_the_smith_forms_of_hom_cells(n, name):
+    P = enumerate_hom(complete_graph(n), build_g_kx(core_fixture(name)))
+    cells, columns = chain_complex(m.images for m in P)
+    assert_clearing_keeps_smith_forms([len(c) for c in cells], columns)
+
+
+@settings(deadline=None)
+@given(complexes)
+def test_clearing_keeps_the_smith_forms_of_drawn_complexes(X):
+    counts, columns = simplicial_chains(X)
+    assert_clearing_keeps_smith_forms(counts, columns)
+
+
+def test_clearing_one_column_more_changes_the_answer():
+    """Skipping delta1's only edge, which no unit pivot one dimension up
+    settled, leaves its two vertices apart: beta_0 = 2."""
+    counts, columns = simplicial_chains(core_fixture("delta1"))
+    widened, _ = _sparse_snf(columns[0], counts[0], {0})
+    assert counts[0] - widened.rank == 2
+    with pytest.raises(AssertionError):
+        assert_clearing_keeps_smith_forms(counts, columns, widen=lambda skip: skip | {0})
 
 
 def looped_graphs_on(n):
