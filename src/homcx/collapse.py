@@ -16,13 +16,13 @@ collapses: a heap of faces, each face holding one packed int, its live
 cofacet count above the bits its cofacets add.  A step removes a pair
 (sigma, tau), sigma being tau plus one bit, and one walk over the bits
 of tau reaches every face whose count falls; the faces left are those
-not removed.  Greedy collapse runs it on the whole complex, with each
-face's state read off the union of the facets over it; the filtration
-verifier runs it stage by stage on what lies outside the next complex,
-with the states counted bit by bit, since that set is no closure.
-Replay is independent of it: every certificate can be replayed from the
-mask closure of its start complex alone, each free face checked to be a
-live face and its freeness rechecked by :meth:`MaskView.free_facet`.
+not removed.  Greedy collapse runs it on the whole complex, and the
+filtration verifier stage by stage on what lies outside the next
+complex, both from one function that reads each face's state off the
+union of the facets over it.  Replay is independent of the engine:
+every certificate can be replayed from the mask closure of its start
+complex alone, each free face checked to be a live face and its
+freeness rechecked by :meth:`MaskView.free_facet`.
 The filtration verifier closes only the first complex of the filtration;
 each stage target is known by its facets, and what lies outside it is
 found by submasks of facet masks.  A certificate renders each start
@@ -168,38 +168,28 @@ def _collapse_free_pairs(n: int, state: dict, bits: int) -> list[CollapseStep]:
     return steps
 
 
-def _facet_union_state(tops: list[int], n: int) -> dict:
-    """The engine's state of every face of the complex with facet masks
-    ``tops``, from the union U of the facets over each face f: the
-    cofacets of f are f plus one bit of U ^ f each, so count(f) is the
-    popcount of U ^ f and added(f) is U ^ f."""
+def _state(tops: list[int], over: list[int], n: int) -> dict:
+    """The engine's state of the faces of the complex with facet masks
+    ``tops`` under none of the masks ``over``.  Only tops under no mask
+    of ``over`` are expanded, each submask tested against the maximal
+    parts of ``over`` within its top.  The faces kept are upward-closed,
+    so the cofacets of a face f are f plus one bit of U ^ f each, U the
+    union of the tops over f: count(f) is the popcount of U ^ f and
+    added(f) is U ^ f."""
     union: dict[int, int] = {}
     get = union.get
     for top in tops:
+        caps = {top & g for g in over}
+        if top in caps:
+            continue
+        caps = maximal_masks(caps)
         sub = top
         while sub:
-            union[sub] = get(sub, 0) | top
+            # no caps is greedy collapse's case: the test cost it about 10%
+            if not caps or not any(sub | c == c for c in caps):
+                union[sub] = get(sub, 0) | top
             sub = (sub - 1) & top
     return {f: (a := u ^ f).bit_count() << n | a for f, u in union.items()}
-
-
-def _cofacet_state(within: set, n: int) -> dict:
-    """The engine's state of each face of ``within``, an upward-closed
-    part of a downward-closed set, by a pass over the bits of every
-    face: each face adds one to the count of each of its facets in
-    ``within``, and its own bit to that facet's added bits."""
-    one = 1 << n
-    state = dict.fromkeys(within, 0)
-    for s in within:
-        # walked inline: bits_of here slowed a certificates pass by about 4% (10 paired runs)
-        rest = s
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            f = s ^ b
-            if f in state:
-                state[f] += one | b
-    return state
 
 
 def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCertificate]:
@@ -207,14 +197,14 @@ def greedy_collapse(X: SimplicialComplex) -> tuple[SimplicialComplex, CollapseCe
 
     Runs :func:`_collapse_free_pairs` on the whole complex with any
     cofacet allowed, from a state read off the facets alone
-    (:func:`_facet_union_state`); the faces the engine leaves are the
-    core, the only part decoded to labels.  Running dry is conclusive: a
-    face whose only containing facet sits several dimensions up always
-    yields a codimension-one free pair against that facet, so no free
-    face of any kind survives.
+    (:func:`_state`, leaving nothing out); the faces the engine leaves
+    are the core, the only part decoded to labels.  Running dry is
+    conclusive: a face whose only containing facet sits several
+    dimensions up always yields a codimension-one free pair against that
+    facet, so no free face of any kind survives.
     """
     view = X.masks
-    state = _facet_union_state(list(map(view.mask, X.facets)), view.n)
+    state = _state(list(map(view.mask, X.facets)), (), view.n)
     steps = _collapse_free_pairs(view.n, state, (1 << view.n) - 1)
     result = SimplicialComplex(map(view.label, state))
     cert = CollapseCertificate(start=X, end=result, stages=(tuple(steps),))
@@ -244,28 +234,6 @@ def kl_filtration(X: SimplicialComplex) -> Filtration:
     return Filtration(order=order, p=p, q=q, complexes=tuple(complexes), graph=G)
 
 
-def _faces_outside(tops: list[int], over: list[int]) -> set:
-    """The nonempty submasks of the masks ``tops`` that lie under none of
-    the masks ``over``.
-
-    Only a top under no mask of ``over`` can have such submasks, so only
-    those are expanded, each submask tested against the parts of
-    ``over`` within its top that no other such part contains.
-    """
-    outside = set()
-    for top in tops:
-        caps = {top & g for g in over}
-        if top in caps:
-            continue
-        caps = maximal_masks(caps)
-        sub = top
-        while sub:
-            if not any(sub | c == c for c in caps):
-                outside.add(sub)
-            sub = (sub - 1) & top
-    return outside
-
-
 def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
     """Collapse each K_l onto K_{l+1} by removing the simplices through
     sigma_l, and certify every stage.
@@ -289,11 +257,14 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
     N(sigma_l) alone.  Those are found on masks: a simplex of K_1 lies
     under a facet exactly when it lies under the facet's vertices in K_1,
     so each facet is taken as that mask, and a face on a vertex K_1 lacks
-    is in neither set.
+    is in neither set.  Their state is :func:`_state` of K_l's facets;
+    the forced pair leaves it by the engine's step rule, and the stage
+    reaches K_{l+1} when the engine leaves that state empty.
     """
     view = F.complexes[0].masks
     mask, bit = view.mask, view.bit
     S = set(view.closure)
+    one = 1 << view.n
     parts: dict[frozenset, int] = {}
 
     def tops(K: SimplicialComplex) -> list[int]:
@@ -309,9 +280,10 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
         sig = F.order[l - 1]
         sig_bit = bit.get(sig, 0)
         target = F.complexes[l]
-        # S is K_l here, so this is S minus K_{l+1}
         tops_l, tops_next = tops_next, tops(target)
-        outside = _faces_outside(tops_l, tops_next)
+        # S is K_l here, so the state's faces are S minus K_{l+1}, which is
+        # upward-closed in S: the engine's pairs never reach into K_{l+1}
+        state = _state(tops_l, tops_next, view.n)
 
         def stall(message: str) -> StalledCollapse:
             return StalledCollapse(
@@ -326,17 +298,21 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
             raise stall(
                 f"the neighborhood of {render_label(sig)} has no free reduced face"
             )
-        if not outside.issuperset((first_sigma, first_tau)):
+        if first_sigma not in state or first_tau not in state:
             raise stall("a collapse would remove part of the next complex")
         S.difference_update((first_sigma, first_tau))
-        # what is left of S minus K_{l+1} is still upward-closed in S, so
-        # the engine's pairs never reach into K_{l+1}
-        state = _cofacet_state(outside & S, view.n)
+        # the forced pair leaves the state by the engine's step rule
+        del state[first_sigma], state[first_tau]
+        for b in bits_of(first_tau):
+            for f in (first_sigma ^ b, first_tau ^ b):
+                if f in state:
+                    state[f] = (state[f] - one) ^ b
         steps = _collapse_free_pairs(view.n, state, sig_bit)
         S.difference_update(*steps)
         # nothing under a facet of K_{l+1} was removed, so S equals K_{l+1}
-        # exactly when it holds those facets and nothing outside them
-        if not all(mask(f) in S for f in target.facets) or not S.isdisjoint(outside):
+        # exactly when it holds those facets and the engine left nothing
+        # outside them
+        if state or not all(mask(f) in S for f in target.facets):
             raise stall("collapse stalled before reaching the next complex")
         stages.append((CollapseStep(first_sigma, first_tau), *steps))
     return CollapseCertificate(

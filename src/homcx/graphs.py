@@ -77,6 +77,15 @@ class Graph:
         the graph."""
         return {}
 
+    @cached_property
+    def _witness_memo(self) -> tuple[dict, dict, dict]:
+        """What :func:`homcx.hom.common_neighbor_witness` keeps on this
+        graph: each image mask's minimum member size by mask, each
+        image's fusion and its witness's rank by mask, and each trace and
+        that rank by (k, mask).  Masks and ranks are over this graph's
+        vertices, so the memo lives as long as the graph."""
+        return {}, {}, {}
+
     def has_edge(self, a: Any, b: Any) -> bool:
         return b in self._adj[a] if a in self._adj else False
 

@@ -477,7 +477,7 @@ def _fusion(k: int, chosen: int, low: int, target: tuple) -> WitnessTrace:
     )
 
 
-def common_neighbor_witness(eta: Multihom, H: Graph, memo: dict | None = None) -> WitnessTrace:
+def common_neighbor_witness(eta: Multihom, H: Graph) -> WitnessTrace:
     """Build a common neighbor of all images of eta constructively.
 
     Pick the image of smallest minimum dimension, fuse its
@@ -489,48 +489,40 @@ def common_neighbor_witness(eta: Multihom, H: Graph, memo: dict | None = None) -
     object.
 
     The fusion depends only on the chosen image, and the trace on k and
-    that image.  ``memo``, a dict the caller keeps, holds each image
-    mask's validated minimum member size, each image's fusion, with its
-    witness's rank in the target, by the 1-tuple of the mask, and each
-    trace, with that rank, by (k, image mask).  So every image is fused
-    once, whatever k it is chosen at.  Masks and ranks mean vertices
-    only over one target, so the memo records the target it was filled
-    for and refuses any other with a ValueError.  The neighborhood check
-    reads H on every call.
+    that image, so H keeps them (``Graph._witness_memo``): each image
+    mask's validated minimum member size, each image's fusion with its
+    witness's rank in H, and each trace with that rank by (k, image
+    mask).  So every image is fused once, whatever k it is chosen at.
+    The neighborhood check reads H on every call.
     """
-    if memo is None:
-        memo = {}
     target = eta.target
     if target is not H.vertices and target != H.vertices:
         raise ValueError("multihomomorphism target does not match the graph")
-    # the None key holds the target the memo's masks are over
-    filled_for = memo.setdefault(None, target)
-    if filled_for is not target and filled_for != target:
-        raise ValueError("the witness memo was filled for another target")
+    lows, fusions, traces = H._witness_memo
     images = eta.images
     # the first image of the smallest minimum
     try:
-        chosen = min(images, key=memo.__getitem__)
+        chosen = min(images, key=lows.__getitem__)
     except KeyError:
         for img in images:
-            if img not in memo:
+            if img not in lows:
                 members = [target[r] for r in _ranks(img)]
                 if not all(isinstance(s, frozenset) for s in members):
                     raise ValueError("witness construction needs simplex-valued target vertices")
-                memo[img] = min(map(len, members))
-        chosen = min(images, key=memo.__getitem__)
+                lows[img] = min(map(len, members))
+        chosen = min(images, key=lows.__getitem__)
     key = (images.index(chosen) + 1, chosen)
-    entry = memo.get(key)
+    entry = traces.get(key)
     if entry is None:
-        fused = memo.get((chosen,))
+        fused = fusions.get(chosen)
         if fused is None:
-            fusion = _fusion(key[0], chosen, memo[chosen], target)
-            fused = memo[(chosen,)] = (fusion, H.rank.get(fusion.witness))
+            fusion = _fusion(key[0], chosen, lows[chosen], target)
+            fused = fusions[chosen] = (fusion, H.rank.get(fusion.witness))
         fusion, r = fused
         # the fusion's own k is the first k it was chosen at
-        witness = fusion.witness if r is None else target[r]
+        witness = fusion.witness if r is None else H.vertices[r]
         trace = WitnessTrace(key[0], fusion.i1, fusion.tau_chain, fusion.s_families, witness)
-        entry = memo[key] = (trace, r)
+        entry = traces[key] = (trace, r)
     trace, r = entry
     # adjacency is symmetric: the witness lies in cn(img) iff img lies in
     # N(witness), the mask near

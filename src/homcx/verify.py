@@ -236,8 +236,6 @@ def _suite_prop_4_1(fixtures, n, cap):
         failures = []
         # the scan's answer for each distinct union of images, this fixture only
         brute_by_union: dict[int, int] = {}
-        # each image's minimum size and each fusion, this fixture only
-        witness_memo: dict = {}
         for m in ns:
             P = enumerate_hom(complete_graph(m), H, cap=cap)
             for eta in P:
@@ -247,7 +245,7 @@ def _suite_prop_4_1(fixtures, n, cap):
                     brute = brute_by_union[members] = _brute_common_neighbors(near, members)
                 checked += 1
                 try:
-                    trace = common_neighbor_witness(eta, H, witness_memo)
+                    trace = common_neighbor_witness(eta, H)
                 except AssertionError:
                     # the witness missed a neighborhood: a failure of this eta
                     failures.append(str(eta))

@@ -25,7 +25,7 @@ from homcx import (
     run_suite,
     verify_kl_collapse_sequence,
 )
-from homcx.collapse import _cofacet_state, _collapse_free_pairs
+from homcx.collapse import _collapse_free_pairs
 from homcx.simplicial import MaskView
 
 
@@ -281,9 +281,28 @@ def test_kl_collapse_verifies_and_replays_on_fixtures():
             assert set(removed_in_stage(cert, i)) == diff, (name, i)
 
 
+def cofacet_state_by_bits(within, n):
+    """The collapse engine's packed state of each face of ``within``, by
+    the per-bit loop over every face: a live cofacet count and the XOR of
+    the bits its cofacets add, in two dicts, packed as count << n | added
+    at the end."""
+    count = dict.fromkeys(within, 0)
+    added = dict.fromkeys(within, 0)
+    for s in within:
+        rest = s
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            f = s ^ b
+            if f in count:
+                count[f] += 1
+                added[f] ^= b
+    return {f: count[f] << n | added[f] for f in within}
+
+
 def recount(state, n):
     """Whether ``state`` is a fresh count of the cofacets over its keys."""
-    return state == _cofacet_state(set(state), n)
+    return state == cofacet_state_by_bits(set(state), n)
 
 
 @pytest.fixture
@@ -328,7 +347,7 @@ def test_engine_leaves_a_recounted_state(engine_runs, name):
         assert state == {}
         assert tuple(steps) == stage[1:]
         for size in range(2, n + 1):
-            upper = _cofacet_state({f for f in start if f.bit_count() >= size}, n)
+            upper = cofacet_state_by_bits({f for f in start if f.bit_count() >= size}, n)
             for allowed in (bits, (1 << n) - 1):
                 left = dict(upper)
                 _collapse_free_pairs(n, left, allowed)

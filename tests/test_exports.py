@@ -24,12 +24,11 @@ def test_exports_resolve_and_the_package_imports_only_exports():
             assert not unlisted, (node.module, unlisted)
 
 
-# the one home of the bit walk, and the collapse engine's two hot loops,
+# the one home of the bit walk, and the collapse engine's hot loop,
 # kept inline because the call costs a measurable share of a pass
 BIT_WALKS = {
     "simplicial.bits_of",
     "collapse._collapse_free_pairs",
-    "collapse._cofacet_state",
 }
 
 

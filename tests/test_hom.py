@@ -484,30 +484,31 @@ def oracle_witness(eta, H):
 
 @pytest.mark.parametrize("fixture", ["delta2", "wedge_triangles", "boundary_delta3"])
 def test_witness_matches_the_fresh_construction_on_every_eta(fixture):
+    """Every eta gets the fresh construction's trace, both while H's memo
+    fills and once it holds every image."""
     H = build_g_kx(core_fixture(fixture), 1)
-    memo = {}
-    for n in (2, 3):
-        for eta in enumerate_hom(complete_graph(n), H):
-            want = oracle_witness(eta, H)
+    wanted = [
+        (eta, oracle_witness(eta, H))
+        for n in (2, 3)
+        for eta in enumerate_hom(complete_graph(n), H)
+    ]
+    for _ in range(2):
+        for eta, want in wanted:
             assert common_neighbor_witness(eta, H) == want, (fixture, str(eta))
-            assert common_neighbor_witness(eta, H, memo) == want, (fixture, str(eta))
 
 
 @pytest.mark.parametrize("fixture", ["delta2", "wedge_triangles", "boundary_delta3"])
 def test_witness_does_not_depend_on_memo_order(fixture):
-    """A memo filled from Hom(K3, H) first and one filled from Hom(K2, H)
-    first give every eta the fresh construction's trace: an image fused
-    at one k carries no k into a trace at another.  Each witness is H's
-    own vertex object."""
-    H = build_g_kx(core_fixture(fixture), 1)
-    posets = {n: enumerate_hom(complete_graph(n), H) for n in (2, 3)}
-    wanted = {n: [oracle_witness(eta, H) for eta in P] for n, P in posets.items()}
+    """A graph whose memo fills from Hom(K3, H) first and one whose memo
+    fills from Hom(K2, H) first give every eta the fresh construction's
+    trace: an image fused at one k carries no k into a trace at another.
+    Each witness is H's own vertex object."""
     for order in ((3, 2), (2, 3)):
-        memo = {}
+        H = build_g_kx(core_fixture(fixture), 1)
         for n in order:
-            for eta, want in zip(posets[n], wanted[n]):
-                trace = common_neighbor_witness(eta, H, memo)
-                assert trace == want, (fixture, order, str(eta))
+            for eta in enumerate_hom(complete_graph(n), H):
+                trace = common_neighbor_witness(eta, H)
+                assert trace == oracle_witness(eta, H), (fixture, order, str(eta))
                 assert trace.witness is H.vertices[H.rank[trace.witness]]
 
 
@@ -547,16 +548,16 @@ def test_hom_homology_and_homology_decode_nothing(monkeypatch):
 
 def test_prop_4_1_fuses_once_per_distinct_key(monkeypatch):
     """prop-4.1 checks every eta, but on boundary_delta3 it fuses each
-    distinct chosen image once, whatever k it is chosen at, and its memo
-    holds one fusion per such image, one trace per distinct (k, image)
-    and one minimum per image."""
-    memos = []
+    distinct chosen image once, whatever k it is chosen at, and the
+    target graph's memo holds one fusion per such image, one trace per
+    distinct (k, image) and one minimum per image."""
+    graphs = []
     fusions = []
 
-    def spy(eta, H, memo=None):
-        if not any(m is memo for m in memos):
-            memos.append(memo)
-        return common_neighbor_witness(eta, H, memo)
+    def spy(eta, H):
+        if not any(G is H for G in graphs):
+            graphs.append(H)
+        return common_neighbor_witness(eta, H)
 
     def fusion_spy(k, chosen, low, target):
         fusions.append(chosen)
@@ -569,31 +570,29 @@ def test_prop_4_1_fuses_once_per_distinct_key(monkeypatch):
     assert report.passed
     assert report.artifacts["etas_checked"] == 16144
     assert len(fusions) == len(set(fusions)) == 668
-    [memo] = memos
-    keys = [key for key in memo if key is not None]
-    assert sum(isinstance(key, tuple) and len(key) == 1 for key in keys) == 668
-    assert sum(isinstance(key, tuple) and len(key) == 2 for key in keys) == 1672
-    assert sum(isinstance(key, int) for key in keys) == 830
+    [H] = graphs
+    lows, fused, traces = H._witness_memo
+    assert (len(fused), len(traces), len(lows)) == (668, 1672, 830)
 
 
 def test_witness_trace_on_hand_checked_inputs():
     G = build_g_kx(core_fixture("delta1"), 1)
     f1, f12 = frozenset([1]), frozenset([1, 2])
     both = [f1, f12]
-    # with no memo, and with one memo for G shared by the three calls
-    for memo in (None, {}):
-        tr = common_neighbor_witness(multihom((1, 2), G, [f1], [f12]), G, memo)
+    # with G's memo empty, then filled by the first round's three calls
+    for _ in range(2):
+        tr = common_neighbor_witness(multihom((1, 2), G, [f1], [f12]), G)
         assert tr.k == 1
         assert tr.tau_chain == (f1,)
         assert tr.witness == f1
 
-        tr2 = common_neighbor_witness(multihom((1, 2), G, both, both), G, memo)
+        tr2 = common_neighbor_witness(multihom((1, 2), G, both, both), G)
         assert tr2.k == 1
         assert tr2.tau_chain == (f1,)
         assert tr2.s_families[0] == (f12,)
         assert tr2.witness == f1
 
-        tr3 = common_neighbor_witness(multihom((1, 2), G, [f1], [f1]), G, memo)
+        tr3 = common_neighbor_witness(multihom((1, 2), G, [f1], [f1]), G)
         assert tr3.witness == f1
     with pytest.raises(ValueError, match="target"):
         common_neighbor_witness(multihom((1, 2), G, [f1], [f1]), complete_graph(3))
@@ -612,11 +611,11 @@ def test_witness_lies_in_every_neighborhood():
 def test_witness_needs_simplex_labels():
     K3 = complete_graph(3)
     eta = multihom((1, 2), K3, [1], [2])
-    # a memo keeps no image that failed, so a second call fails again
-    for memo, calls in ((None, 1), ({}, 2)):
-        for _ in range(calls):
-            with pytest.raises(ValueError, match="simplex-valued"):
-                common_neighbor_witness(eta, K3, memo)
+    # the memo keeps no image that failed, so a second call fails again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="simplex-valued"):
+            common_neighbor_witness(eta, K3)
+    assert K3._witness_memo == ({}, {}, {})
 
 
 @pytest.mark.parametrize("fused_is_a_vertex", [False, True])
@@ -624,8 +623,8 @@ def test_witness_off_the_neighborhoods_fails_its_assertion(fused_is_a_vertex):
     """On the complete reflexive graph of the singletons {1}, {2}, {3}, the
     fused witness {1,2} of ({{1},{2}}|{{3}}) is no vertex at all, or, once
     added next to {1} alone, no common neighbor: both are assertion
-    failures, not a lookup error.  A memo keeps the fusion, not the
-    check, so a second call with it fails again."""
+    failures, not a lookup error.  The memo keeps the fusion, not the
+    check, so a second call fails again."""
     s1, s2, s3, s12 = (frozenset(v) for v in ([1], [2], [3], [1, 2]))
     vertices = [s1, s2, s3]
     edges = [(a, b) for a in vertices for b in vertices]
@@ -633,32 +632,33 @@ def test_witness_off_the_neighborhoods_fails_its_assertion(fused_is_a_vertex):
         vertices, edges = vertices + [s12], edges + [(s1, s12)]
     H = Graph(vertices, edges)
     eta = multihom((1, 2), H, [s1, s2], [s3])
-    for memo, calls in ((None, 1), ({}, 2)):
-        for _ in range(calls):
-            with pytest.raises(AssertionError, match="misses the neighborhood of image 1"):
-                common_neighbor_witness(eta, H, memo)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="misses the neighborhood of image 1"):
+            common_neighbor_witness(eta, H)
 
 
 def test_witness_memo_is_checked_against_each_call():
-    """A memo keeps fusions, which hold for any graph on the same target,
-    but each call checks the neighborhoods of its own graph; a memo
-    filled over one target refuses another."""
+    """Each graph keeps its own memo, and every call checks the
+    neighborhoods of its own graph: on two graphs on the same vertices,
+    the fused witness {1,2} of ({{1},{2}}|{{3}}) is a common neighbor
+    where it is adjacent to everything and not where it is adjacent to
+    {1} alone, whichever graph is asked first."""
     s1, s2, s3, s12 = (frozenset(v) for v in ([1], [2], [3], [1, 2]))
     vertices = [s1, s2, s3, s12]
-    everywhere = Graph(vertices, [(a, b) for a in vertices for b in vertices])
     # s12 is adjacent to s1 alone among the others
     edges = [(a, b) for a in vertices[:3] for b in vertices[:3]] + [(s1, s12)]
-    near_s1 = Graph(vertices, edges)
-    memo = {}
-    eta = multihom((1, 2), everywhere, [s1, s2], [s3])
-    assert common_neighbor_witness(eta, everywhere, memo).witness == s12
-    with pytest.raises(AssertionError, match="misses the neighborhood of image 1"):
-        common_neighbor_witness(multihom((1, 2), near_s1, [s1, s2], [s3]), near_s1, memo)
-    G = build_g_kx(core_fixture("delta1"), 1)
-    f1 = frozenset([1])
-    with pytest.raises(ValueError, match="another target"):
-        common_neighbor_witness(multihom((1, 2), G, [f1], [f1]), G, memo)
-    assert common_neighbor_witness(multihom((1, 2), G, [f1], [f1]), G, {}).witness == f1
+    for near_first in (False, True):
+        everywhere = Graph(vertices, [(a, b) for a in vertices for b in vertices])
+        near_s1 = Graph(vertices, edges)
+        for H in (near_s1, everywhere) if near_first else (everywhere, near_s1):
+            eta = multihom((1, 2), H, [s1, s2], [s3])
+            if H is everywhere:
+                assert common_neighbor_witness(eta, H).witness == s12
+            else:
+                with pytest.raises(AssertionError, match="misses the neighborhood of image 1"):
+                    common_neighbor_witness(eta, H)
+        for H in (everywhere, near_s1):
+            assert [f.witness for f, _ in H._witness_memo[1].values()] == [s12]
 
 
 def test_quillen_conditions_on_edge_complex():

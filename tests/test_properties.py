@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import homcx.collapse
 from homcx import (
     CORE_FIXTURE_NAMES,
     CollapseCertificate,
@@ -57,12 +58,12 @@ from homcx import (
     verify_nerve_theorem_hypotheses,
 )
 from homcx.canon import canonical_order
-from homcx.collapse import _cofacet_state, _facet_union_state, _faces_outside
+from homcx.collapse import _state
 from homcx.graphs import _maximal_cliques
 from homcx.hom import _decode, _encode
 from homcx.homology import _sparse_snf, chain_complex
 from homcx.simplicial import _CoverIndex, faces, maximal_sets, render_simplex
-from test_collapse import free_face_pairs
+from test_collapse import cofacet_state_by_bits, free_face_pairs
 from test_hom import pointwise_le
 from test_homology import boundary_matrices
 from test_nerve import brute_nerve
@@ -227,25 +228,6 @@ def test_greedy_collapse_takes_the_canonically_first_free_pair(X):
     assert core.simplex_set() == live
 
 
-def cofacet_state_by_bits(within, n):
-    """The collapse engine's packed state of each face of ``within``, by
-    the per-bit loop over every face: a live cofacet count and the XOR of
-    the bits its cofacets add, in two dicts, packed as count << n | added
-    at the end."""
-    count = dict.fromkeys(within, 0)
-    added = dict.fromkeys(within, 0)
-    for s in within:
-        rest = s
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            f = s ^ b
-            if f in count:
-                count[f] += 1
-                added[f] ^= b
-    return {f: count[f] << n | added[f] for f in within}
-
-
 @st.composite
 def overlapping_complexes(draw):
     """Complexes whose facets share large faces: each facet is one common
@@ -263,12 +245,10 @@ def overlapping_complexes(draw):
 @given(st.one_of(complexes, labelled_complexes, wide_complexes, overlapping_complexes()))
 def test_facet_union_state_matches_the_per_bit_counts(X):
     """Greedy's starting state, from the union of the facets over each
-    face, is the per-bit count and XOR of every face's cofacets; the
-    verifier's per-bit builder agrees on the whole closure."""
+    face, is the per-bit count and XOR of every face's cofacets."""
     view = X.masks
     by_bits = cofacet_state_by_bits(set(view.closure), view.n)
-    assert _facet_union_state(list(map(view.mask, X.facets)), view.n) == by_bits
-    assert _cofacet_state(set(view.closure), view.n) == by_bits
+    assert _state(list(map(view.mask, X.facets)), (), view.n) == by_bits
 
 
 def certificate_to_dict_by_labels(cert):
@@ -800,7 +780,8 @@ def faces_outside_by_labels(A, B):
 def assert_faces_outside_match(F):
     """Every stage of F, and every stage against a target grown by facets
     on a vertex K_1 lacks (alone, and with a face of the stage's
-    neighborhood), finds the same outside set on masks as on labels."""
+    neighborhood), finds the same outside set on masks as on labels, and
+    gives each face of it its per-bit cofacet count over that set."""
     view = F.complexes[0].masks
     part = lambda f: sum(view.bit.get(v, 0) for v in f)
     for l in range(1, len(F.complexes)):
@@ -813,8 +794,9 @@ def assert_faces_outside_match(F):
             SimplicialComplex(F.complexes[l].facets | {foreign | frozenset(nbhd[:-1])}),
         ):
             by_labels = {view.mask(s) for s in faces_outside_by_labels(A, B)} - {None}
-            by_masks = _faces_outside(list(map(part, A.facets)), list(map(part, B.facets)))
-            assert by_masks == by_labels
+            state = _state(list(map(part, A.facets)), list(map(part, B.facets)), view.n)
+            assert set(state) == by_labels
+            assert state == cofacet_state_by_bits(by_labels, view.n)
 
 
 @pytest.mark.parametrize("name", [n for n in CORE_FIXTURE_NAMES if n != "point"])
@@ -826,6 +808,40 @@ def test_faces_outside_on_masks_matches_labels_on_core_filtrations(name):
 @given(filtered_complexes())
 def test_faces_outside_on_masks_matches_labels(X):
     assert_faces_outside_match(kl_filtration(X))
+
+
+def assert_engine_gets_the_label_counts(F):
+    """At every stage the verifier hands the engine the per-bit cofacet
+    count over K_l less its forced pair, of the simplices outside
+    K_{l+1}, found from label sets."""
+    view = F.complexes[0].masks
+    engine = homcx.collapse._collapse_free_pairs
+    starts = []
+
+    def recorded(n, state, bits):
+        starts.append(dict(state))
+        return engine(n, state, bits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homcx.collapse, "_collapse_free_pairs", recorded)
+        verify_kl_collapse_sequence(F)
+    assert len(starts) == len(F.complexes) - 1
+    for l, start in enumerate(starts, start=1):
+        sig = F.order[l - 1]
+        nbhd = F.graph.neighbors(sig)
+        left = faces_outside_by_labels(F.complexes[l - 1], F.complexes[l]) - {nbhd, nbhd - {sig}}
+        assert start == cofacet_state_by_bits(set(map(view.mask, left)), view.n), l
+
+
+@pytest.mark.parametrize("name", [n for n in CORE_FIXTURE_NAMES if n != "point"])
+def test_engine_gets_the_label_counts_on_core_filtrations(name):
+    assert_engine_gets_the_label_counts(kl_filtration(core_fixture(name)))
+
+
+@settings(deadline=None)
+@given(filtered_complexes())
+def test_engine_gets_the_label_counts(X):
+    assert_engine_gets_the_label_counts(kl_filtration(X))
 
 
 def quillen_by_scan(n, H):
