@@ -56,9 +56,6 @@ SURROGATE_NOTE = (
     "for homotopy equivalence; equivalence itself is not machine-proven"
 )
 
-HOM_FIXTURES = ("point", "delta1", "boundary_delta2")
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     theorem: str
@@ -91,16 +88,6 @@ def collapsed_profile(X: SimplicialComplex) -> tuple[HomologyProfile, int, int]:
 def _digest(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _brute_common_neighbors(near: list, members: int) -> int:
-    """The mask of the vertices adjacent to every one of ``members``, the
-    mask of the union of an eta's images, by a scan over all vertices
-    (independent of the witness and of ``Graph.neighbor_masks``): the
-    vertex of rank r is adjacent to each member exactly when the members
-    lie in ``near[r]``, the mask of its neighborhood.  It depends on eta
-    only through that union."""
-    return sum(1 << r for r, nbrs in enumerate(near) if not members & ~nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +217,14 @@ def _suite_prop_4_1(fixtures, n, cap):
     for name in fixtures:
         X = core_fixture(name)
         H = build_g_kx(X, 1)
-        # each vertex's neighborhood as a rank mask, for the scan
+        # each vertex's neighborhood as a rank mask, from its label set
+        # (independent of the witness and of ``Graph.neighbor_masks``)
         near = [sum(1 << H.rank[w] for w in H.neighbors(v)) for v in H.vertices]
         checked = 0
         failures = []
-        # the scan's answer for each distinct union of images, this fixture only
-        brute_by_union: dict[int, int] = {}
         for m in ns:
             P = enumerate_hom(complete_graph(m), H, cap=cap)
             for eta in P:
-                members = reduce(or_, eta.images)
-                brute = brute_by_union.get(members)
-                if brute is None:
-                    brute = brute_by_union[members] = _brute_common_neighbors(near, members)
                 checked += 1
                 try:
                     trace = common_neighbor_witness(eta, H)
@@ -251,7 +233,8 @@ def _suite_prop_4_1(fixtures, n, cap):
                     failures.append(str(eta))
                     continue
                 rank = H.rank.get(trace.witness)
-                if rank is None or not brute >> rank & 1:
+                # the witness must be adjacent to every vertex of every image
+                if rank is None or reduce(or_, eta.images) & ~near[rank]:
                     failures.append(str(eta))
         yield name, not failures, {
             "etas_checked": checked,
@@ -304,9 +287,9 @@ def _suite_fold(fixtures, n, cap):
 
 
 _SUITES = {
-    "thm-1.1": (_suite_thm_1_1, "homology equality", HOM_FIXTURES),
+    "thm-1.1": (_suite_thm_1_1, "homology equality", CORE_FIXTURE_NAMES),
     "thm-1.2": (_suite_thm_1_2, "homology equality", CORE_FIXTURE_NAMES),
-    "thm-1.3": (_suite_thm_1_3, "homology equality", HOM_FIXTURES),
+    "thm-1.3": (_suite_thm_1_3, "homology equality", CORE_FIXTURE_NAMES),
     "lemma-hom-nbhd": (
         _suite_lemma_hom_nbhd,
         "homology equality",
@@ -314,9 +297,9 @@ _SUITES = {
     ),
     "prop-3.1": (_suite_prop_3_1, "nerve equality", CORE_FIXTURE_NAMES),
     "prop-collapse": (_suite_prop_collapse, "collapse certificate", CORE_FIXTURE_NAMES),
-    "prop-4.1": (_suite_prop_4_1, "fiber maxima", HOM_FIXTURES),
-    "quillen": (_suite_quillen, "fiber maxima", HOM_FIXTURES),
-    "fold": (_suite_fold, "homology equality", HOM_FIXTURES),
+    "prop-4.1": (_suite_prop_4_1, "fiber maxima", CORE_FIXTURE_NAMES),
+    "quillen": (_suite_quillen, "fiber maxima", CORE_FIXTURE_NAMES),
+    "fold": (_suite_fold, "homology equality", CORE_FIXTURE_NAMES),
 }
 
 SUITE_NAMES = tuple(_SUITES)

@@ -102,16 +102,22 @@ PROP_COLLAPSE_CERTIFICATES = {
 
 
 # verify reports without wall times: lemma-hom-nbhd, thm-1.2, quillen and
-# prop-4.1 one fixture at a time, thm-1.1, thm-1.3 and fold at their
-# default fixtures (None), thm-1.3 also on a comma-separated list
+# prop-4.1 one fixture at a time; thm-1.1, thm-1.3 and fold on the first
+# three core fixtures, their former defaults, and thm-1.3 also on a
+# longer comma-separated list; the five Hom suites whose default fixtures
+# are all the core fixtures at their defaults (None)
 SUITE_REPORTS = {
     ("lemma-hom-nbhd", "point"): "1fddd8ef4bc9eb909f672de4e92d41bd265cc875c4d6f2ddbe9684d4ccb5ed73",
     ("lemma-hom-nbhd", "delta1"): "1e21c3849c30ebb9f6f5825f18d298b4ec7b2185a47625ce98c23cd2639cd6af",
     ("lemma-hom-nbhd", "boundary_delta2"): "1e0c1e29059261c46afedf89b07fe8ba9a03f20b7923353be4b2b90be9ee8996",
     ("lemma-hom-nbhd", "path2"): "483fe2dafa679cb54b0af5d16608f857d96a60071b27694875bed0c411dcdfb0",
     ("lemma-hom-nbhd", "wedge_triangles"): "22c96e65ca928020cf9f6feb83df899092d47359889e5ae048ed84e21d4ffd55",
-    ("thm-1.1", None): "1a69dbf0ff875fddd5d9ecb463a921910ab7a6073dbfccfc538984a43bc7e426",
-    ("fold", None): "3f585346235dc4e7dc2227d8f16addd74616c4d544dc43c847cc338969f93476",
+    ("thm-1.1", "point,delta1,boundary_delta2"): (
+        "1a69dbf0ff875fddd5d9ecb463a921910ab7a6073dbfccfc538984a43bc7e426"
+    ),
+    ("fold", "point,delta1,boundary_delta2"): (
+        "3f585346235dc4e7dc2227d8f16addd74616c4d544dc43c847cc338969f93476"
+    ),
     ("thm-1.2", "point"): "dd0ee195686347b77469726a7dab0ad476f82b8084640a9de7ae7e549c6dc4f7",
     ("thm-1.2", "delta1"): "2a49675a06103867498ad7ce4481e64f711877db0d09a643ebb29ca6ae30acaa",
     ("thm-1.2", "path2"): "0f43a05a25862403a5d4977743dabde33245eb41a886aa3c4b9101cd5e102279",
@@ -120,7 +126,9 @@ SUITE_REPORTS = {
     ("thm-1.2", "boundary_delta3"): "264b3a6334f7d08323003409ad8cb29fcb77cb19477d0d384ad5a8a2095b75a9",
     ("thm-1.2", "wedge_triangles"): "3630de258c403f60c8f57ea2de7f93ae145014f064278d331c0ea2c62af2caaa",
     ("thm-1.2", "rp2"): "cd0ca2f1240e4f4aa11ef4c584f5dbd959a7444bcc93258ab1752995ab934441",
-    ("thm-1.3", None): "aa0c782caa4ee9b0d110263e2d72cdbffea3b8ebf36031c521ac33659862d9e7",
+    ("thm-1.3", "point,delta1,boundary_delta2"): (
+        "aa0c782caa4ee9b0d110263e2d72cdbffea3b8ebf36031c521ac33659862d9e7"
+    ),
     ("thm-1.3", "path2,delta2,wedge_triangles,boundary_delta3"): (
         "bf5d1515dbc7362f138d5de23f9e67089a807375372fd7912d50d42d267046ca"
     ),
@@ -135,6 +143,11 @@ SUITE_REPORTS = {
     ("prop-4.1", "delta2"): "cc8908b3c57d5e44ba8e88ea85c05fc0b9d7174b16048bee1d0f90326a0037a9",
     ("prop-4.1", "wedge_triangles"): "f2f5116b0a5cac418f4a92435e1f80c139b9afb2c715da07281d088a315f284c",
     ("prop-4.1", "boundary_delta3"): "86d046dfd28212811f4eceb14693d898838c2813eb267a34306352047af91fff",
+    ("thm-1.1", None): "480056bae1c818e0838adadea3934aee10447c6f4758332f8155aa98c69b29bf",
+    ("thm-1.3", None): "2cf606ae05bd9158d523ca6fd7ce86e5f71fc9c17cffa79347746ff6631c4a10",
+    ("prop-4.1", None): "5c9a82d1e859136226ab5f1e3cda150406c33deed7378c8b72ebfc01b2a7412e",
+    ("quillen", None): "e1dc11345ac048ab3f958c41db59cc74ad41e23f9849976bc5487722344573ba",
+    ("fold", None): "0ea78a49b7e7b3a6c1f08104ba908ae44ae938db4d887ddbb95b0710bbe877ea",
 }
 
 

@@ -1,5 +1,6 @@
 """Multihomomorphism enumeration, the Hom poset, witnesses, fibers."""
 
+import dataclasses
 import gc
 import random
 from itertools import combinations, product
@@ -573,6 +574,31 @@ def test_prop_4_1_fuses_once_per_distinct_key(monkeypatch):
     [H] = graphs
     lows, fused, traces = H._witness_memo
     assert (len(fused), len(traces), len(lows)) == (668, 1672, 830)
+
+
+def test_prop_4_1_fails_exactly_the_etas_off_a_planted_witness(monkeypatch):
+    """With every witness replaced by {1} on delta1, prop-4.1 fails exactly
+    the etas with an image that meets {2}, the one vertex of G_{1,X} not
+    adjacent to {1}, read here from label sets."""
+    planted = frozenset([1])
+
+    def planted_witness(eta, H):
+        return dataclasses.replace(common_neighbor_witness(eta, H), witness=planted)
+
+    monkeypatch.setattr(homcx.verify, "common_neighbor_witness", planted_witness)
+    report = homcx.verify.run_suite("prop-4.1", fixtures=["delta1"]).reports[0]
+    H = build_g_kx(core_fixture("delta1"), 1)
+    off = set(H.vertices) - H.neighbors(planted)
+    assert off == {frozenset([2])}
+    want = [
+        str(eta)
+        for m in (2, 3)
+        for eta in enumerate_hom(complete_graph(m), H)
+        if any(eta.get(u) & off for u in eta.domain)
+    ]
+    assert not report.passed
+    assert want and report.artifacts["failures"] == want
+    assert report.artifacts["etas_checked"] > len(want)
 
 
 def test_witness_trace_on_hand_checked_inputs():

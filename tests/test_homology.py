@@ -10,6 +10,7 @@ import pytest
 
 from homcx import (
     HomologyProfile,
+    SNFResult,
     SimplicialComplex,
     barycentric_subdivision,
     chain_homology,
@@ -145,6 +146,15 @@ def test_snf_known_matrix():
     assert res.diagonal == (2, 4)
     assert res.rank == 2
     assert res.shape == (2, 2)
+    # diagonal inputs that the gcd/lcm pass reorders, and a rank-one
+    # matrix with entries past 10^12
+    for matrix, diagonal in [
+        ([[2, 0], [0, 3]], (1, 6)),
+        ([[6, 0], [0, 4]], (2, 12)),
+        ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], (2, 2, 60)),
+        ([[10**12 + 1, 2 * 10**12 + 2], [3, 6]], (1,)),
+    ]:
+        assert smith_normal_form(matrix).diagonal == diagonal, matrix
 
 
 def test_snf_edge_cases():
@@ -152,12 +162,20 @@ def test_snf_edge_cases():
     assert smith_normal_form([[5]]).diagonal == (5,)
     assert smith_normal_form([[-3]]).diagonal == (3,)
     assert smith_normal_form([]).rank == 0
+    assert smith_normal_form([[]]) == SNFResult(diagonal=(), rank=0, shape=(1, 0))
 
 
 def test_snf_against_determinant_divisors():
     rng = random.Random(101)
-    for _ in range(80):
+    for draw in range(120):
         M = random_matrix(rng, 4, lo=-6, hi=6)
+        if draw >= 80:
+            # entries past 10^9: a multiple of a small matrix, or up to 10^12
+            M = (
+                [[(10**9 + 7) * x for x in row] for row in M]
+                if draw % 2
+                else random_matrix(rng, 4, lo=-10**12, hi=10**12)
+            )
         res = smith_normal_form(M)
         dd = determinant_divisors(M)
         prev = 1
