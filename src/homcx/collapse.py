@@ -16,10 +16,13 @@ collapses: a heap of faces, each face holding one packed int, its live
 cofacet count above the bits its cofacets add.  A step removes a pair
 (sigma, tau), sigma being tau plus one bit, and one walk over the bits
 of tau reaches every face whose count falls; the faces left are those
-not removed.  Greedy collapse runs it on the whole complex, and the
-filtration verifier stage by stage on what lies outside the next
-complex, both from one function that reads each face's state off the
-union of the facets over it.  Replay is independent of the engine:
+not removed.  Greedy collapse runs it on the whole complex; each stage
+of the filtration verifier is one run on what lies outside the next
+complex, allowing only cofacets that add the stage's simplex, whose
+first pop is the stage's forced pair and whose outcome no order of pops
+changes (:func:`verify_kl_collapse_sequence` proves both).  Both start
+from one function that reads each face's state off the union of the
+facets over it.  Replay is independent of the engine:
 every certificate can be replayed from the mask closure of its start
 complex alone, each free face checked to be a live face and its
 freeness rechecked by :meth:`MaskView.free_facet`.
@@ -238,41 +241,44 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
     """Collapse each K_l onto K_{l+1} by removing the simplices through
     sigma_l, and certify every stage.
 
-    Stage l first collapses (N(sigma_l), N(sigma_l) minus sigma_l), then
-    runs the engine of :func:`greedy_collapse` on what is left outside
-    K_{l+1}, with only cofacets that add sigma_l allowed: each step
-    collapses (sigma, sigma minus sigma_l) for the canonically first such
-    pair whose reduced face is free.  Only simplices outside K_{l+1} are
-    eligible: freeness alone does not stop the collapse from eating into
-    the target complex, which also has pairs of this shape.  Raises
-    StalledCollapse, carrying the stuck complex, if a stage cannot reach
-    its target.
+    Stage l checks that N(sigma_l) minus sigma_l is a free face, under
+    N(sigma_l), outside K_{l+1}; then it is one run of the engine of
+    :func:`greedy_collapse` on what K_l has outside K_{l+1}, allowing only
+    cofacets that add sigma_l, so freeness alone never lets it eat into
+    the target, which has pairs of that shape too.  Raises
+    StalledCollapse, carrying the stuck complex, if a check fails or the
+    stage cannot reach its target.  The engine takes the forced pair
+    (N(sigma_l), N(sigma_l) minus sigma_l) itself:
 
-    Only K_1 is closed, into its view's masks; that set is carried from
-    stage to stage, each stage taking the engine's steps off it, and is
-    decoded to labels only for a stuck complex.  Each target K_{l+1} is
-    known by its facets: since the set equals K_l when stage l starts,
-    what lies outside K_{l+1} is exactly the faces of K_l's facets under
-    no facet of K_{l+1}, which on a genuine filtration are faces of
-    N(sigma_l) alone.  Those are found on masks: a simplex of K_1 lies
-    under a facet exactly when it lies under the facet's vertices in K_1,
-    so each facet is taken as that mask, and a face on a vertex K_1 lacks
-    is in neither set.  Their state is :func:`_state` of K_l's facets;
-    the forced pair leaves it by the engine's step rule, and the stage
-    reaches K_{l+1} when the engine leaves that state empty.
+    1. On every stage :func:`kl_filtration` builds, N(sigma_l) is K_l's
+       only facet outside K_{l+1}, so the state is an upward-closed family
+       of faces of it, and a face f there has |N(sigma_l)| - |f|
+       cofacets.  The count-one faces are N(sigma_l)'s codimension-one
+       faces, and only the forced one adds sigma_l: it is the first pop.
+    2. Collapse restricted to sigma_l is confluent.  A step
+       (tau + sigma_l, tau) never removes or blocks another available
+       pair, since an available tau' lacks sigma_l, and a face skipped
+       for adding another bit can only fall to no cofacet.  So on a
+       hand-built :class:`Filtration` too the verdict, the stalled
+       stage, the message, the stuck complex and each stage's set of
+       steps are those of taking the forced pair first; only the order
+       inside a passing stage can differ.
+
+    Only K_1 is closed, into its view's masks, and that set is carried
+    from stage to stage, decoded only for a stuck complex.  Each target
+    is known by its facets, each taken as the mask of its vertices in K_1
+    (a simplex of K_1 is under a facet exactly when it is under that
+    mask): as the set is K_l when stage l starts, the stage's state is
+    :func:`_state` of K_l's facets under none of K_{l+1}'s, and the stage
+    reaches K_{l+1} when the engine leaves it empty.
     """
     view = F.complexes[0].masks
     mask, bit = view.mask, view.bit
     S = set(view.closure)
-    one = 1 << view.n
-    parts: dict[frozenset, int] = {}
 
     def tops(K: SimplicialComplex) -> list[int]:
-        """K's facets as masks of their vertices in K_1; the stages share
-        most facet objects, so each is converted once."""
-        for f in K.facets - parts.keys():
-            parts[f] = sum(bit.get(v, 0) for v in f)
-        return list(map(parts.__getitem__, K.facets))
+        """K's facets as masks of their vertices in K_1."""
+        return [sum(bit.get(v, 0) for v in f) for f in K.facets]
 
     tops_next = tops(F.complexes[0])
     stages: list[tuple] = []
@@ -298,15 +304,10 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
             raise stall(
                 f"the neighborhood of {render_label(sig)} has no free reduced face"
             )
-        if first_sigma not in state or first_tau not in state:
+        # first_sigma is in S over first_tau, so first_tau's being outside
+        # K_{l+1} puts the whole pair in the state
+        if first_tau not in state:
             raise stall("a collapse would remove part of the next complex")
-        S.difference_update((first_sigma, first_tau))
-        # the forced pair leaves the state by the engine's step rule
-        del state[first_sigma], state[first_tau]
-        for b in bits_of(first_tau):
-            for f in (first_sigma ^ b, first_tau ^ b):
-                if f in state:
-                    state[f] = (state[f] - one) ^ b
         steps = _collapse_free_pairs(view.n, state, sig_bit)
         S.difference_update(*steps)
         # nothing under a facet of K_{l+1} was removed, so S equals K_{l+1}
@@ -314,7 +315,7 @@ def verify_kl_collapse_sequence(F: Filtration) -> CollapseCertificate:
         # outside them
         if state or not all(mask(f) in S for f in target.facets):
             raise stall("collapse stalled before reaching the next complex")
-        stages.append((CollapseStep(first_sigma, first_tau), *steps))
+        stages.append(tuple(steps))
     return CollapseCertificate(
         start=F.complexes[0], end=F.complexes[-1], stages=tuple(stages)
     )

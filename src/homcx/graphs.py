@@ -145,12 +145,7 @@ def build_g_kx(X: SimplicialComplex, k: int = 1) -> Graph:
         raise ValueError("k must be a positive integer")
     Y = X if k == 1 else barycentric_subdivision(X, k - 1)
     simplices = Y.simplices()
-    edges: list[tuple] = [(s, s) for s in simplices]
-    for i, s in enumerate(simplices):
-        for t in simplices[i + 1 :]:
-            if s < t or t < s:
-                edges.append((s, t))
-    return Graph(simplices, edges)
+    return Graph(simplices, [(s, t) for t in simplices for s in simplices if s <= t])
 
 
 def common_neighborhood(G: Graph, A: Iterable[Any]) -> frozenset:

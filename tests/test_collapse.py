@@ -27,6 +27,7 @@ from homcx import (
 )
 from homcx.collapse import _collapse_free_pairs
 from homcx.simplicial import MaskView
+from test_graphs import small_complexes
 
 
 def removed_in_stage(cert, i):
@@ -345,7 +346,7 @@ def test_engine_leaves_a_recounted_state(engine_runs, name):
     part_way = 0
     for (n, start, bits, state, steps), stage in zip(engine_runs, cert.stages):
         assert state == {}
-        assert tuple(steps) == stage[1:]
+        assert tuple(steps) == stage
         for size in range(2, n + 1):
             upper = cofacet_state_by_bits({f for f in start if f.bit_count() >= size}, n)
             for allowed in (bits, (1 << n) - 1):
@@ -353,7 +354,63 @@ def test_engine_leaves_a_recounted_state(engine_runs, name):
                 _collapse_free_pairs(n, left, allowed)
                 assert recount(left, n)
                 part_way += 0 < len(left) < len(upper)
-    assert part_way or not any(run[1] for run in engine_runs)
+    # a stage whose start is its forced pair alone is collapsed whole at every size
+    assert part_way or all(len(run[1]) == 2 for run in engine_runs)
+
+
+def assert_stages_open_with_the_forced_pair(X):
+    """Every stage of X's certificate begins with (N(sigma_l), N(sigma_l)
+    minus sigma_l), which the engine takes itself, and the certificate
+    replays."""
+    F = kl_filtration(X)
+    cert = verify_kl_collapse_sequence(F)
+    mask = cert.start.masks.mask
+    assert len(cert.stages) == F.p - F.q
+    for sig, stage in zip(F.order, cert.stages):
+        nbhd = F.graph.neighbors(sig)
+        assert stage[0] == (mask(nbhd), mask(nbhd - {sig})), render_label(sig)
+    assert replay_certificate(cert)
+
+
+@pytest.mark.parametrize("name", [n for n in CORE_FIXTURE_NAMES if n != "point"])
+def test_stages_open_with_the_forced_pair_on_core_fixtures(name):
+    assert_stages_open_with_the_forced_pair(core_fixture(name))
+
+
+def test_stages_open_with_the_forced_pair_on_every_small_complex():
+    """On the 122 complexes whose vertex set is exactly {1..n}, n <= 4,
+    that have a positive-dimensional simplex."""
+    complexes = [SimplicialComplex(f) for f in small_complexes() if max(map(len, f)) >= 2]
+    assert len(complexes) == 122
+    for X in complexes:
+        assert_stages_open_with_the_forced_pair(X)
+
+
+def test_a_second_facet_outside_the_target_only_reorders_its_stage():
+    """K_1 and K_2 of X = [[1,2,5],[2,3],[1,4]] with one more facet,
+    {{1,2},{2,3},{1,4}}, which K_3 lacks.  Stage 2 (sigma_2 = {1,2}) then
+    has two facets outside its target, and the engine pops the new
+    facet's pair before the forced pair; the stage's steps are still
+    those of taking the forced pair first, as a set, and the certificate
+    replays."""
+    F = kl_filtration(SimplicialComplex([[1, 2, 5], [2, 3], [1, 4]]))
+    s = lambda *vertices: frozenset(frozenset(v) for v in vertices)
+    assert F.order[1] == frozenset([1, 2])
+    extra = s([1, 2], [2, 3], [1, 4])
+    Ks = tuple(
+        SimplicialComplex(K.facets | {extra}) if l < 2 else K for l, K in enumerate(F.complexes)
+    )
+    fake = Filtration(order=F.order, p=F.p, q=F.q, complexes=Ks, graph=F.graph)
+    cert = verify_kl_collapse_sequence(fake)
+    assert replay_certificate(cert)
+    mask = cert.start.masks.mask
+    step = lambda sigma, tau: CollapseStep(mask(sigma), mask(tau))
+    forced = step(s([1], [2], [1, 2], [1, 2, 5]), s([1], [2], [1, 2, 5]))
+    assert cert.stages[1] == (
+        step(extra, s([2, 3], [1, 4])),
+        forced,
+        step(s([1], [2], [1, 2]), s([1], [2])),
+    )
 
 
 @pytest.mark.parametrize("name", CORE_FIXTURE_NAMES)

@@ -57,27 +57,52 @@ def _walks_bits(loop):
     return lowest or cleared
 
 
-def _bit_walks(node, name):
-    """The dotted names of the functions under ``node`` with a loop that
-    walks bits."""
+def _functions_with(node, name, found):
+    """The dotted names of the functions under ``node`` holding a node for
+    which ``found`` holds; a nested function is named apart."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-            yield from _bit_walks(child, f"{name}.{child.name}")
+            yield from _functions_with(child, f"{name}.{child.name}", found)
             continue
-        if isinstance(child, ast.While) and _walks_bits(child):
+        if found(child):
             yield name
-        yield from _bit_walks(child, name)
+        yield from _functions_with(child, name, found)
+
+
+def _package_functions_with(found):
+    """The dotted names, module first, of the functions under homcx
+    holding a node for which ``found`` holds."""
+    names = []
+    for path in sorted(Path(homcx.__file__).parent.glob("*.py")):
+        names += _functions_with(ast.parse(path.read_text()), path.stem, found)
+    return set(names)
 
 
 def test_bit_walks_live_in_one_place():
     """Walking the set bits of a mask is :func:`homcx.simplicial.bits_of`;
     no other loop in the package strips bits off a mask by hand, apart
     from the named collapse loops."""
-    walks = []
-    for path in sorted(Path(homcx.__file__).parent.glob("*.py")):
-        walks += _bit_walks(ast.parse(path.read_text()), path.stem)
-    assert sorted(set(walks) - BIT_WALKS) == []
-    assert BIT_WALKS <= set(walks), "a listed exception no longer walks bits"
+    walks = _package_functions_with(lambda n: isinstance(n, ast.While) and _walks_bits(n))
+    assert sorted(walks - BIT_WALKS) == []
+    assert BIT_WALKS <= walks, "a listed exception no longer walks bits"
+
+
+def _updates_a_count(node):
+    """Whether ``node`` is the collapse engine's count update
+    ``(st - one) ^ b``: an XOR whose left operand is a subtraction."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitXor)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Sub)
+    )
+
+
+def test_collapse_step_rule_lives_in_the_engine():
+    """A collapse state is updated only by the engine: every stage of the
+    filtration verifier is one engine run, its forced pair included, so
+    no other code applies the step rule by hand."""
+    assert _package_functions_with(_updates_a_count) == {"collapse._collapse_free_pairs"}
 
 
 # the one cached module-level function: the parser takes no input

@@ -229,29 +229,33 @@ def antichains(subsets):
         yield (first,) + chain
 
 
+def small_complexes():
+    """The facets of each of the 126 complexes whose vertex set is exactly
+    {1..n}, n <= 4: the antichains of subsets covering it."""
+    for n in range(1, 5):
+        full = frozenset(range(1, n + 1))
+        subsets = [frozenset(c) for k in range(1, n + 1) for c in combinations(full, k)]
+        yield from (a for a in antichains(subsets) if frozenset().union(*a) == full)
+
+
 def test_g1x_folds_exactly_onto_the_only_facet_above():
     """In G_{1,X}, N(u) <= N(v) for u != v exactly when v is the only facet
     of X containing u, in any codimension, so G_{1,X} has no fold exactly
     when X has no free face.  Checked on all 126 complexes whose vertex set
-    is exactly {1..n}, n <= 4, the antichains of subsets covering it."""
+    is exactly {1..n}, n <= 4."""
     complexes = deep_folds = 0
-    for n in range(1, 5):
-        full = frozenset(range(1, n + 1))
-        subsets = [frozenset(c) for k in range(1, n + 1) for c in combinations(full, k)]
-        for facets in antichains(subsets):
-            if frozenset().union(*facets) != full:
-                continue
-            complexes += 1
-            G = build_g_kx(SimplicialComplex.from_facets(facets), 1)
-            above = {u: [f for f in facets if u <= f] for u in G.vertices}
-            for u in G.vertices:
-                for v in G.vertices:
-                    if u != v:
-                        folds = G.neighbors(u) <= G.neighbors(v)
-                        assert folds == (above[u] == [v]), (facets, u, v)
-                        deep_folds += folds and len(v) - len(u) >= 2
-            free = any(len(above[u]) == 1 and u not in facets for u in G.vertices)
-            assert (find_fold(G) is None) == (not free), facets
+    for facets in small_complexes():
+        complexes += 1
+        G = build_g_kx(SimplicialComplex.from_facets(facets), 1)
+        above = {u: [f for f in facets if u <= f] for u in G.vertices}
+        for u in G.vertices:
+            for v in G.vertices:
+                if u != v:
+                    folds = G.neighbors(u) <= G.neighbors(v)
+                    assert folds == (above[u] == [v]), (facets, u, v)
+                    deep_folds += folds and len(v) - len(u) >= 2
+        free = any(len(above[u]) == 1 and u not in facets for u in G.vertices)
+        assert (find_fold(G) is None) == (not free), facets
     assert complexes == 126
     assert deep_folds == 73
 

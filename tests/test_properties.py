@@ -635,7 +635,9 @@ def interval_by_faces(tau, sigma):
 
 def kl_sequence_by_closure(F):
     """The filtration collapse checked against the closure of every
-    stage target, each stage starting from the closure of K_l."""
+    stage target, each stage starting from the closure of K_l: the same
+    two checks on the forced pair as the verifier, then a scan that takes
+    the forced pair with the rest."""
     V = F.graph.vertices
     mask = F.complexes[0].masks.mask
     stages: list[tuple] = []
@@ -645,27 +647,15 @@ def kl_sequence_by_closure(F):
         target = set(F.complexes[l].simplex_set())
         steps: list[CollapseStep] = []
 
-        def apply(sigma: frozenset, tau: frozenset):
-            removed = interval_by_faces(tau, sigma)
-            if not target.isdisjoint(removed):
-                raise StalledCollapse(
-                    f"stage {l}: a collapse would remove part of the next complex",
-                    stage=l,
-                    stuck=SimplicialComplex(S),
-                )
-            S.difference_update(removed)
-            steps.append(CollapseStep(mask(sigma), mask(tau)))
+        def stall(message: str) -> StalledCollapse:
+            return StalledCollapse(f"stage {l}: {message}", stage=l, stuck=SimplicialComplex(S))
 
         first_sigma = frozenset(F.graph.neighbors(sig))
         first_tau = first_sigma - {sig}
         if not first_tau or free_facet_by_cofacets(S, first_tau, V) != first_sigma:
-            raise StalledCollapse(
-                f"stage {l}: the neighborhood of {render_label(sig)} has no free "
-                "reduced face",
-                stage=l,
-                stuck=SimplicialComplex(S),
-            )
-        apply(first_sigma, first_tau)
+            raise stall(f"the neighborhood of {render_label(sig)} has no free reduced face")
+        if first_tau in target:
+            raise stall("a collapse would remove part of the next complex")
         candidates = sorted(
             (s for s in S if sig in s and s not in target), key=slow_simplex_key
         )
@@ -679,15 +669,12 @@ def kl_sequence_by_closure(F):
                 if not tau or tau in target:
                     continue
                 if free_facet_by_cofacets(S, tau, V) == sigma:
-                    apply(sigma, tau)
+                    S.difference_update(interval_by_faces(tau, sigma))
+                    steps.append(CollapseStep(mask(sigma), mask(tau)))
                     progressed = True
                     break
         if S != target:
-            raise StalledCollapse(
-                f"stage {l}: collapse stalled before reaching the next complex",
-                stage=l,
-                stuck=SimplicialComplex(S),
-            )
+            raise stall("collapse stalled before reaching the next complex")
         stages.append(tuple(steps))
     return CollapseCertificate(
         start=F.complexes[0], end=F.complexes[-1], stages=tuple(stages)
@@ -812,8 +799,8 @@ def test_faces_outside_on_masks_matches_labels(X):
 
 def assert_engine_gets_the_label_counts(F):
     """At every stage the verifier hands the engine the per-bit cofacet
-    count over K_l less its forced pair, of the simplices outside
-    K_{l+1}, found from label sets."""
+    counts over the simplices of K_l outside K_{l+1}, found from label
+    sets; the forced pair is among them, left to the engine."""
     view = F.complexes[0].masks
     engine = homcx.collapse._collapse_free_pairs
     starts = []
@@ -827,9 +814,7 @@ def assert_engine_gets_the_label_counts(F):
         verify_kl_collapse_sequence(F)
     assert len(starts) == len(F.complexes) - 1
     for l, start in enumerate(starts, start=1):
-        sig = F.order[l - 1]
-        nbhd = F.graph.neighbors(sig)
-        left = faces_outside_by_labels(F.complexes[l - 1], F.complexes[l]) - {nbhd, nbhd - {sig}}
+        left = faces_outside_by_labels(F.complexes[l - 1], F.complexes[l])
         assert start == cofacet_state_by_bits(set(map(view.mask, left)), view.n), l
 
 
